@@ -240,6 +240,9 @@ TypeScheme BinSubBackend::simplify(
     for (const DerivedTypeVariable *D : {&SC.Lhs, &SC.Rhs})
       if (D->base() == ProcVar)
         Out.addVar(*D);
+  // Additive constraints are carried over whole; the vacuous ones are
+  // dropped after the backend returns (dropVacuousComponents,
+  // core/ConstraintSet.h).
   for (const AddSubConstraint &AC : C.addSubs())
     Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
                                    Rename(AC.Z)});

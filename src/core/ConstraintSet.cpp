@@ -2,7 +2,11 @@
 
 #include "core/ConstraintSet.h"
 
+#include "support/UnionFind.h"
+
 #include <algorithm>
+#include <optional>
+#include <unordered_map>
 
 using namespace retypd;
 
@@ -270,4 +274,71 @@ std::string TypeScheme::str(const SymbolTable &Syms,
   }
   S += "}";
   return S;
+}
+
+void retypd::dropVacuousComponents(TypeScheme &Scheme) {
+  // Without existentials every variable is free and every component live.
+  if (Scheme.Existentials.empty())
+    return;
+  const ConstraintSet &C = Scheme.Constraints;
+  std::unordered_map<TypeVariable, uint32_t> NodeOf;
+  UnionFind UF;
+  auto Unite = [&](std::initializer_list<const DerivedTypeVariable *> Ds) {
+    std::optional<uint32_t> First;
+    for (const DerivedTypeVariable *D : Ds) {
+      if (!D->base().isVar())
+        continue;
+      auto [It, Inserted] = NodeOf.try_emplace(D->base(), UF.size());
+      if (Inserted)
+        UF.makeSet();
+      if (First)
+        UF.unite(*First, It->second);
+      else
+        First = It->second;
+    }
+  };
+  for (const SubtypeConstraint &SC : C.subtypes())
+    Unite({&SC.Lhs, &SC.Rhs});
+  for (const DerivedTypeVariable &V : C.vars())
+    Unite({&V});
+  for (const AddSubConstraint &AC : C.addSubs())
+    Unite({&AC.X, &AC.Y, &AC.Z});
+
+  std::unordered_set<TypeVariable> Bound(Scheme.Existentials.begin(),
+                                         Scheme.Existentials.end());
+  std::vector<char> Live(UF.size(), 0);
+  for (const auto &[V, N] : NodeOf)
+    if (!Bound.count(V))
+      Live[UF.find(N)] = 1;
+  auto IsLive = [&](uint32_t N) { return Live[UF.find(N)] != 0; };
+  // A constraint lives with the component of its variable bases; one that
+  // mentions only constants relates no variable and is left alone.
+  auto Keeps = [&](std::initializer_list<const DerivedTypeVariable *> Ds) {
+    for (const DerivedTypeVariable *D : Ds)
+      if (D->base().isVar())
+        return IsLive(NodeOf.at(D->base()));
+    return true;
+  };
+
+  bool AnyDead = std::any_of(NodeOf.begin(), NodeOf.end(), [&](auto &E) {
+    return !IsLive(E.second);
+  });
+  if (AnyDead) {
+    ConstraintSet Out;
+    for (const SubtypeConstraint &SC : C.subtypes())
+      if (Keeps({&SC.Lhs, &SC.Rhs}))
+        Out.addSubtype(SC.Lhs, SC.Rhs);
+    for (const DerivedTypeVariable &V : C.vars())
+      if (Keeps({&V}))
+        Out.addVar(V);
+    for (const AddSubConstraint &AC : C.addSubs())
+      if (Keeps({&AC.X, &AC.Y, &AC.Z}))
+        Out.addAddSub(AC);
+    Scheme.Constraints = std::move(Out);
+  }
+
+  std::erase_if(Scheme.Existentials, [&](TypeVariable V) {
+    auto It = NodeOf.find(V);
+    return It == NodeOf.end() || !IsLive(It->second);
+  });
 }

@@ -126,6 +126,19 @@ struct TypeScheme {
   std::string str(const SymbolTable &Syms, const Lattice &Lat) const;
 };
 
+/// Removes the vacuous parts of an exported scheme (paper §5: a scheme
+/// should stay small enough to instantiate at every callsite). Variable
+/// bases are united through every subtype, var and add/sub constraint
+/// they share; type constants are never union nodes, so two components
+/// that merely mention the same constant stay apart. A component is live
+/// iff it contains a non-existential variable (the procedure variable, an
+/// interesting variable, a global). Every constraint of a dead component
+/// is dropped, and \c Existentials is trimmed to the variables that still
+/// occur. Sound because instantiation renames each existential freshly
+/// per callsite: a component without a free variable stays disconnected
+/// from everything a caller solves for. Idempotent.
+void dropVacuousComponents(TypeScheme &Scheme);
+
 } // namespace retypd
 
 #endif // RETYPD_CORE_CONSTRAINTSET_H

@@ -181,8 +181,10 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
         G.node(N).Tag == Variance::Covariant)
       Out.addVar(G.node(N).Dtv);
 
-  // Carry additive constraints over (renamed); they are cheap and needed by
-  // the pointer/integer classification downstream.
+  // Carry additive constraints over (renamed): the pointer/integer
+  // classification downstream needs them. Those left in components with no
+  // free variable are dropped after the backend returns
+  // (dropVacuousComponents, core/ConstraintSet.h).
   for (const AddSubConstraint &AC : C.addSubs())
     Out.addAddSub(AddSubConstraint{AC.IsSub, Rename(AC.X), Rename(AC.Y),
                                    Rename(AC.Z)});

@@ -40,7 +40,7 @@ SummaryKey SummaryCache::keyFor(const Hash128 &SetHash,
                                 const SimplifyOptions &Opts,
                                 BackendKind Backend) {
   Fnv128 H;
-  H.update("retypd-summary-v3");
+  H.update("retypd-summary-v4");
   H.sep();
   H.updateU64(SetHash.Hi);
   H.updateU64(SetHash.Lo);
@@ -51,9 +51,11 @@ SummaryKey SummaryCache::keyFor(const Hash128 &SetHash,
   H.sep();
   H.updateU64(Opts.MaxTidyIterations);
   H.updateU64(Opts.BloatSlack);
-  // The default backend hashes the exact historical byte stream, so
-  // every pre-seam store/cache file stays warm; other backends extend
-  // the stream and land in a disjoint key space.
+  // The salt names the scheme format: v4 schemes have their vacuous
+  // components dropped (dropVacuousComponents), so a leaf whose input set
+  // and key are otherwise unchanged must not replay an older, unpruned
+  // scheme. Other backends extend the default stream and land in a
+  // disjoint key space.
   if (Backend != BackendKind::Retypd) {
     H.sep();
     H.update(backendName(Backend));

@@ -125,9 +125,10 @@ public:
   /// canonical structural view, so two structurally identical problems key
   /// identically regardless of symbol ids or constraint insertion order —
   /// and no canonical text is ever materialized. \p Backend participates
-  /// in the key (the default retypd backend hashes the exact historical
-  /// byte stream, so existing stores stay warm), so artifacts produced by
-  /// different solver backends never collide.
+  /// in the key (non-default backends extend the retypd byte stream), so
+  /// artifacts produced by different solver backends never collide. The
+  /// stream is salted with the scheme format version, so scheme entries
+  /// written before a format change miss instead of replaying.
   static SummaryKey keyFor(const ConstraintSet &C, TypeVariable ProcVar,
                            const std::vector<std::string> &InterestingNames,
                            const SimplifyOptions &Opts,

@@ -422,6 +422,10 @@ std::optional<TypeScheme> AnalysisSession::summarize(
   if (!C)
     return std::nullopt;
   TypeScheme Scheme = Backend.simplify(*C, ProcVar, Keep);
+  // Backends may leave components no caller can observe; dropping them
+  // here, above the seam, keeps every backend's summaries from inheriting
+  // their callees' dead constraints layer after layer.
+  dropVacuousComponents(Scheme);
   // Canonical constraint order: identical whether the scheme was computed
   // here or replayed from the cache (the codec preserves order verbatim).
   Scheme.Constraints.canonicalize(S, Lat);

@@ -13,8 +13,8 @@
 //    a retypd scheme or solution — zero false hits;
 //  - backend-tagged store records (payload tag bit 0x10) visible to
 //    Store::inspect;
-//  - SchedulerTest's 12-layer diamond ladder under binsub (ROADMAP open
-//    item 4 measurement).
+//  - SchedulerTest's diamond ladder under binsub at depth 40, where
+//    unpruned schemes used to grow exponentially and crash.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,7 +91,7 @@ BackendRun runBackend(Module M, BackendKind Backend, unsigned Jobs = 1,
 }
 
 /// The diamond ladder of SchedulerTest: distinct call paths double per
-/// layer, the adversarial shape for sketch-join growth (ROADMAP item 4).
+/// layer, so any per-callsite residue a scheme carries doubles too.
 std::string diamondAsm(unsigned Layers) {
   std::string Asm = "fn d0:\n  load eax, [esp+4]\n  add eax, 1\n  ret\n";
   for (unsigned I = 1; I <= Layers; ++I) {
@@ -309,19 +309,19 @@ TEST(BackendTest, StoreRecordsAreBackendTagged) {
 }
 
 TEST(BackendTest, DiamondLadderUnderBinSub) {
-  // ROADMAP open item 4: does algebraic subtyping sidestep the
-  // sketch-join growth on the 12-layer diamond ladder? Run it under
-  // binsub at several job counts — correctness (byte-identity and
-  // completion) is the test contract; the timing comparison against
-  // retypd is recorded in ROADMAP.md.
-  Module M = parseAsm(diamondAsm(12));
+  // Every layer instantiates its callee's scheme twice. Before vacuous
+  // components were dropped from exported schemes, each layer carried
+  // twice its callee's dead additive constraints: binsub grew
+  // exponentially and crashed (SIGSEGV) by depth 20. Depth 40 pins the
+  // fix: the run completes, byte-identical across job counts.
+  Module M = parseAsm(diamondAsm(40));
   BackendRun Seq = runBackend(M, BackendKind::BinSub, 1);
   EXPECT_EQ(Seq.R.Stats.Backend, "binsub");
-  EXPECT_EQ(Seq.R.Stats.SccCount, 37u); // 1 + 3 * 12
+  EXPECT_EQ(Seq.R.Stats.SccCount, 121u); // 1 + 3 * 40
   for (unsigned Jobs : {4u, 0u}) {
     BackendRun Par = runBackend(M, BackendKind::BinSub, Jobs);
     EXPECT_EQ(Par.Text, Seq.Text) << "diamond binsub jobs=" << Jobs;
   }
-  std::printf("diamond(12) binsub: simplify=%.3fs solve=%.3fs\n",
+  std::printf("diamond(40) binsub: simplify=%.3fs solve=%.3fs\n",
               Seq.R.Stats.SimplifySecs, Seq.R.Stats.SolveSecs);
 }

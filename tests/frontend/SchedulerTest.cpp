@@ -89,9 +89,7 @@ std::string manyTinyAsm(unsigned N) {
 
 /// A ladder of diamonds: top_i -> {a_i, b_i} -> top_(i-1). Fork/join
 /// readiness: each join SCC waits on two callers (phase 2) / the two
-/// arms wait on the same callee (phase 1). Depth is capped low: sketch
-/// refinement joins grow with the number of distinct call paths, which
-/// doubles per layer on this shape.
+/// arms wait on the same callee (phase 1).
 std::string diamondAsm(unsigned Layers) {
   std::string Asm = "fn d0:\n  load eax, [esp+4]\n  add eax, 1\n  ret\n";
   for (unsigned I = 1; I <= Layers; ++I) {
@@ -145,7 +143,7 @@ TEST(SchedulerTest, AdversarialShapesByteIdenticalAcrossJobs) {
       {"chain", chainAsm(200)},
       {"star", starAsm(300)},
       {"many-tiny", manyTinyAsm(500)},
-      {"diamond", diamondAsm(12)},
+      {"diamond", diamondAsm(40)},
   };
   for (const auto &[Name, Asm] : Shapes) {
     Module M = parseProgram(Asm);

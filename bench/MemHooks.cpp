@@ -35,3 +35,24 @@ void operator delete[](void *P) noexcept { ::operator delete(P); }
 
 void operator delete(void *P, size_t) noexcept { ::operator delete(P); }
 void operator delete[](void *P, size_t) noexcept { ::operator delete(P); }
+
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// be replaced too: under ASan the sanitizer runtime supplies its own, and
+// the std::free above then releases their blocks as an alloc-dealloc
+// mismatch.
+void *operator new(size_t Size, const std::nothrow_t &) noexcept {
+  try {
+    return ::operator new(Size);
+  } catch (...) {
+    return nullptr;
+  }
+}
+void *operator new[](size_t Size, const std::nothrow_t &) noexcept {
+  return ::operator new(Size, std::nothrow);
+}
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  ::operator delete(P);
+}

@@ -36,9 +36,9 @@ public:
   /// Members of each SCC.
   const std::vector<std::vector<uint32_t>> &sccs() const { return Sccs; }
 
-  /// SCC ids in bottom-up order (callees before callers). For a top-down
-  /// traversal use topDownWaves() — the wave grouping is the one ordering
-  /// contract the pipeline depends on.
+  /// SCC ids in bottom-up order (callees before callers), in Tarjan
+  /// completion order. The pipeline schedules by bottomUpOrder() and
+  /// topDownOrder() below — those two sequences are its ordering contract.
   const std::vector<uint32_t> &bottomUp() const { return BottomUp; }
 
   /// Deduplicated SCC-level callee edges (condensation DAG successors).
@@ -77,13 +77,6 @@ public:
   /// setting.
   const std::vector<std::vector<uint32_t>> &bottomUpWaves() const {
     return Waves;
-  }
-
-  /// The same waves reversed (for the top-down sketch-solving phase):
-  /// callers always appear in a strictly earlier wave than their callees.
-  std::vector<std::vector<uint32_t>> topDownWaves() const {
-    std::vector<std::vector<uint32_t>> Rev(Waves.rbegin(), Waves.rend());
-    return Rev;
   }
 
 private:

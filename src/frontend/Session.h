@@ -316,6 +316,7 @@ public:
 private:
   struct SccArtifact;
   struct FuncSnapshot;
+  struct RunState; ///< one analyze() run; its phases are member functions
 
   SummaryCache *activeCache();
   /// Probes the scheme cache, then simplifies on a miss. \p Constraints is

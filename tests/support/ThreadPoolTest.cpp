@@ -1,8 +1,8 @@
 //===- ThreadPoolTest.cpp - Pool + SCC wavefront tests ------------------------===//
 //
 // Covers the work-stealing pool (completion, inline mode, nested submits,
-// exception propagation, reuse across barriers) and the CallGraph
-// wavefront decomposition the parallel pipeline schedules with.
+// exception propagation, reuse across barriers), the CallGraph wavefront
+// decomposition, and the commit sequences the scheduler consumes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -199,11 +199,34 @@ fn pong:
   EXPECT_NE(L, R);
   EXPECT_LT(WaveOf[CG.sccOf(*M.findFunction("leaf"))], WaveOf[L]);
 
-  // Top-down waves are exactly the reverse decomposition.
-  auto Down = CG.topDownWaves();
-  ASSERT_EQ(Down.size(), Waves.size());
-  for (size_t I = 0; I < Down.size(); ++I)
-    EXPECT_EQ(Down[I], Waves[Waves.size() - 1 - I]);
+  // The two commit sequences the scheduler consumes: each lists every SCC
+  // exactly once, bottomUpOrder() puts callees strictly before callers and
+  // topDownOrder() callers strictly before callees.
+  const std::vector<uint32_t> &Up = CG.bottomUpOrder();
+  const std::vector<uint32_t> &Down = CG.topDownOrder();
+  for (const std::vector<uint32_t> *Seq : {&Up, &Down}) {
+    ASSERT_EQ(Seq->size(), CG.sccs().size());
+    EXPECT_EQ(std::set<uint32_t>(Seq->begin(), Seq->end()).size(),
+              CG.sccs().size());
+  }
+  std::vector<size_t> UpPos(CG.sccs().size()), DownPos(CG.sccs().size());
+  for (size_t I = 0; I < Up.size(); ++I) {
+    UpPos[Up[I]] = I;
+    DownPos[Down[I]] = I;
+  }
+  for (uint32_t S = 0; S < CG.sccs().size(); ++S)
+    for (uint32_t T : CG.sccCallees(S)) {
+      EXPECT_LT(UpPos[T], UpPos[S]) << "SCC " << S << " -> " << T;
+      EXPECT_LT(DownPos[S], DownPos[T]) << "SCC " << S << " -> " << T;
+    }
+
+  // topDownOrder() is the reverse-wave concatenation (not the element-wise
+  // reverse of bottomUpOrder()): the order callsite sketches reach the
+  // refinement accumulators in.
+  std::vector<uint32_t> ReverseWaves;
+  for (auto W = Waves.rbegin(); W != Waves.rend(); ++W)
+    ReverseWaves.insert(ReverseWaves.end(), W->begin(), W->end());
+  EXPECT_EQ(Down, ReverseWaves);
 }
 
 TEST(ThreadPoolTest, WavefrontOrderIsDeterministic) {

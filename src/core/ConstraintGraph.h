@@ -31,6 +31,36 @@
 /// `.load` at the covariant twin (v,⊕), and symmetrically. See the worked
 /// Figure 4 / Figure 14 checks in tests/core/SaturationTest.cpp.
 ///
+/// Storage and the order contract
+/// ------------------------------
+/// The simplifier numbers fresh existentials (τ$proc$k) in the order its
+/// emit loop meets each node's out-edges, and those names reach the golden
+/// reports and the content keys of the summary cache and the store. The
+/// out-edge order is therefore part of the output, and it is fixed by two
+/// *iterated* containers:
+///
+///   - the out-edge lists, appended in creation order: construction edges
+///     in constraint order, then saturation's shortcut 1-edges in the order
+///     the worklist discovers them;
+///   - the reaching-forget sets R(n), std::pmr::unordered_set<uint64_t>
+///     whose iteration order decides which shortcut edge is discovered
+///     first. Their hash, bucket policy and insertion sequence must stay
+///     exactly as they are (entries pack the dense label index, so label
+///     indices must also keep their first-use numbering).
+///
+/// Everything else is *probe-only* and may change representation freely:
+/// the DTV interner, the dense node index (DtvId, tag) → node, the label
+/// index, and the edge-dedup set. tests/core/SaturationOrderTest.cpp pins
+/// the resulting edge order over real SCC constraint sets.
+///
+/// Memory: the out-edge lists and the interned label words draw from one
+/// monotonic arena per graph, released with the graph. The R sets draw from a second arena that lives
+/// only for the duration of saturate(), and the edge-dedup set is released
+/// when saturation finishes (no edge is added after it). Nodes are created
+/// only by the constructor, never during saturate(), so node ids and spans
+/// returned by labels() are stable for the graph's lifetime; a span
+/// returned by edgesFrom() is invalidated by saturate().
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETYPD_CORE_CONSTRAINTGRAPH_H
@@ -40,8 +70,8 @@
 #include "support/Interner.h"
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <memory_resource>
+#include <span>
 #include <vector>
 
 namespace retypd {
@@ -49,9 +79,11 @@ namespace retypd {
 /// Dense id of a graph node.
 using GraphNodeId = uint32_t;
 
-/// One node: a derived type variable with a variance tag.
+/// One node: an interned derived type variable with a variance tag. The
+/// variable's base and labels are read through ConstraintGraph::base() /
+/// labels().
 struct GraphNode {
-  DerivedTypeVariable Dtv;
+  DtvId Dtv = 0;
   Variance Tag = Variance::Covariant;
 };
 
@@ -62,11 +94,23 @@ enum class EdgeKind : uint8_t {
   Forget  ///< spell a label onto the RHS word
 };
 
-/// One outgoing edge.
+/// One outgoing edge. The label is stored as the graph's dense label index
+/// (ConstraintGraph::label() maps it back); it is meaningful for Recall and
+/// Forget edges.
 struct GraphEdge {
   GraphNodeId To = 0;
+  uint32_t LabelIdx = 0;
   EdgeKind Kind = EdgeKind::One;
-  Label L; // valid for Recall/Forget
+};
+
+/// Reusable state for repeated ConstraintGraph::oneReachableFrom sweeps: a
+/// generation-stamped visited set (one sweep costs O(nodes reached), not
+/// O(nodes)) and the result buffer.
+class OneReachScratch {
+  friend class ConstraintGraph;
+  std::vector<uint32_t> Stamp;
+  uint32_t Generation = 0;
+  std::vector<GraphNodeId> Order;
 };
 
 /// The saturated constraint graph for one constraint set.
@@ -86,12 +130,27 @@ public:
 
   size_t numNodes() const { return Nodes.size(); }
   const GraphNode &node(GraphNodeId Id) const { return Nodes[Id]; }
-  const std::vector<GraphEdge> &edgesFrom(GraphNodeId Id) const {
-    return Out[Id];
+  TypeVariable base(GraphNodeId Id) const { return Dtvs.base(Nodes[Id].Dtv); }
+  std::span<const Label> labels(GraphNodeId Id) const {
+    return Dtvs.labels(Nodes[Id].Dtv);
+  }
+  bool isBaseOnly(GraphNodeId Id) const { return labels(Id).empty(); }
+  /// Materializes the node's derived type variable (allocates).
+  DerivedTypeVariable dtv(GraphNodeId Id) const {
+    return Dtvs.dtv(Nodes[Id].Dtv);
   }
 
-  /// All nodes (n,⊕) 1-reachable from (From,⊕); includes From itself.
-  /// Used for the lattice-bound queries of Algorithm F.2.
+  std::span<const GraphEdge> edgesFrom(GraphNodeId Id) const {
+    return {Out[Id].Data, Out[Id].Size};
+  }
+  Label label(const GraphEdge &E) const { return LabelAt[E.LabelIdx]; }
+
+  /// All nodes (n,⊕) 1-reachable from (From,⊕), in breadth-first order;
+  /// includes From itself. Used for the lattice-bound queries of
+  /// Algorithm F.2. The result lives in \p Scratch until its next use.
+  std::span<const GraphNodeId> oneReachableFrom(GraphNodeId From,
+                                                OneReachScratch &Scratch) const;
+  /// Same, for one-off queries.
   std::vector<GraphNodeId> oneReachableFrom(GraphNodeId From) const;
 
   /// Number of 1-edges added by saturation (for tests and stats).
@@ -101,28 +160,67 @@ public:
   std::string str(const SymbolTable &Syms, const Lattice &Lat) const;
 
 private:
-  GraphNodeId getOrCreateNode(const DerivedTypeVariable &Dtv, Variance Tag);
-  bool addEdge(GraphNodeId From, GraphNodeId To, EdgeKind Kind, Label L);
+  GraphNodeId getOrCreateNode(TypeVariable Base, std::span<const Label> Word,
+                              Variance Tag);
+  bool addEdge(GraphNodeId From, GraphNodeId To, EdgeKind Kind,
+               uint32_t LabelIdx);
+  /// Appends to a node's out-edge list, moving it to a larger arena block
+  /// when full (the old block stays in the arena until the graph dies).
+  void appendEdge(GraphNodeId From, GraphEdge E);
   uint32_t internLabel(Label L);
+  /// Slot of (Dtv, Tag) in NodeOf.
+  static size_t nodeSlot(DtvId Dtv, Variance Tag) {
+    return 2 * static_cast<size_t>(Dtv) +
+           (Tag == Variance::Contravariant ? 1 : 0);
+  }
+
+  /// Flat open-addressing set of (from, to, label index, kind) edge keys:
+  /// addEdge's duplicate check. Probe-only.
+  class EdgeKeySet {
+  public:
+    /// Inserts the key; false when it was already present.
+    bool insert(GraphNodeId From, GraphNodeId To, uint32_t LabelKind);
+    /// Frees the table.
+    void release() {
+      Slots = std::vector<Slot>();
+      Count = 0;
+    }
+
+  private:
+    static constexpr uint64_t Empty = ~0ull;
+    struct Slot {
+      uint64_t FromTo = Empty;
+      uint32_t LabelKind = 0;
+    };
+    void grow();
+    std::vector<Slot> Slots;
+    size_t Count = 0;
+  };
+
+  /// Backs the out-edge lists and the interned label words.
+  std::pmr::monotonic_buffer_resource Arena;
+
+  /// One node's out-edges, in creation order: a block in Arena.
+  struct EdgeList {
+    GraphEdge *Data = nullptr;
+    uint32_t Size = 0;
+    uint32_t Capacity = 0;
+  };
 
   std::vector<GraphNode> Nodes;
-  std::vector<std::vector<GraphEdge>> Out;
+  std::vector<EdgeList> Out;
 
-  // Node identity runs through the arena-backed DTV interner: a node key is
-  // the dense interned id composed with the variance bit, so lookups and
-  // the saturation hot loop compare single integers instead of re-hashing
-  // whole label words.
-  DtvInterner Dtvs;
-  std::unordered_map<uint64_t, GraphNodeId> NodeIndex; // (DtvId<<1)|tag
-  std::vector<DtvId> NodeDtv;                          // per node
+  // Node identity runs through the DTV interner: a node is found at
+  // NodeOf[2 * DtvId + tag] (NoNode when absent).
+  DtvInterner Dtvs{Arena};
+  std::vector<GraphNodeId> NodeOf;
 
-  // Labels seen on edges, interned to small dense indices so saturation
-  // state packs into single u64 entries.
-  std::unordered_map<uint64_t, uint32_t> LabelIdx; // raw -> dense
+  // Labels seen on edges, numbered densely in first-use order so
+  // saturation state packs into single u64 entries.
+  DenseIdIndex LabelIndex;
   std::vector<Label> LabelAt;
 
-  // Per-node edge dedup: (To<<32) | (labelIdx<<2) | kind, all packed.
-  std::vector<std::unordered_set<uint64_t>> EdgeKeys;
+  EdgeKeySet EdgeKeys;
 
   size_t SaturationEdges = 0;
   bool Saturated = false;

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <map>
 
 using namespace retypd;
@@ -31,100 +30,102 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   ConstraintGraph G(C);
   G.saturate();
   const size_t NumNodes = G.numNodes();
+  const size_t NumStates = 2 * NumNodes;
 
-  // Forward reachability over the phase product automaton. Sources: base
-  // nodes of interesting variables, both variance tags, in recall phase.
-  std::vector<bool> Fwd(2 * NumNodes, false);
-  std::deque<uint32_t> Work;
-  for (GraphNodeId N = 0; N < NumNodes; ++N) {
-    const GraphNode &Node = G.node(N);
-    if (Node.Dtv.isBaseOnly() && IsInteresting(Node.Dtv.base())) {
-      Fwd[productState(N, RecallPhase)] = true;
-      Work.push_back(productState(N, RecallPhase));
+  // Sources and sinks of the product automaton: base nodes of interesting
+  // variables.
+  std::vector<uint8_t> Terminal(NumNodes, 0);
+  for (GraphNodeId N = 0; N < NumNodes; ++N)
+    Terminal[N] = G.isBaseOnly(N) && IsInteresting(G.base(N));
+
+  // Forward reachability over the phase product automaton. Sources:
+  // terminal nodes, both variance tags, in recall phase. Work doubles as
+  // the FIFO queue (visit order is push order).
+  std::vector<uint8_t> Fwd(NumStates, 0);
+  std::vector<uint32_t> Work;
+  Work.reserve(NumStates);
+  auto Reach = [&](std::vector<uint8_t> &Seen, uint32_t S) {
+    if (!Seen[S]) {
+      Seen[S] = 1;
+      Work.push_back(S);
     }
-  }
-  while (!Work.empty()) {
-    uint32_t S = Work.front();
-    Work.pop_front();
+  };
+  for (GraphNodeId N = 0; N < NumNodes; ++N)
+    if (Terminal[N])
+      Reach(Fwd, productState(N, RecallPhase));
+  for (size_t I = 0; I < Work.size(); ++I) {
+    uint32_t S = Work[I];
     GraphNodeId N = S / 2;
     Phase P = static_cast<Phase>(S % 2);
     for (const GraphEdge &E : G.edgesFrom(N)) {
-      uint32_t Next = 0;
       switch (E.Kind) {
       case EdgeKind::One:
-        Next = productState(E.To, P);
+        Reach(Fwd, productState(E.To, P));
         break;
       case EdgeKind::Recall:
-        if (P != RecallPhase)
-          continue;
-        Next = productState(E.To, RecallPhase);
+        if (P == RecallPhase)
+          Reach(Fwd, productState(E.To, RecallPhase));
         break;
       case EdgeKind::Forget:
-        Next = productState(E.To, ForgetPhase);
+        Reach(Fwd, productState(E.To, ForgetPhase));
         break;
-      }
-      if (!Fwd[Next]) {
-        Fwd[Next] = true;
-        Work.push_back(Next);
       }
     }
   }
 
-  // Backward co-reachability to sinks (interesting base nodes, any phase).
-  // Build reverse product adjacency implicitly by scanning edges.
-  std::vector<std::vector<uint32_t>> RevAdj(2 * NumNodes);
-  for (GraphNodeId N = 0; N < NumNodes; ++N) {
-    for (const GraphEdge &E : G.edgesFrom(N)) {
-      switch (E.Kind) {
-      case EdgeKind::One:
-        RevAdj[productState(E.To, RecallPhase)].push_back(
-            productState(N, RecallPhase));
-        RevAdj[productState(E.To, ForgetPhase)].push_back(
-            productState(N, ForgetPhase));
-        break;
-      case EdgeKind::Recall:
-        RevAdj[productState(E.To, RecallPhase)].push_back(
-            productState(N, RecallPhase));
-        break;
-      case EdgeKind::Forget:
-        RevAdj[productState(E.To, ForgetPhase)].push_back(
-            productState(N, RecallPhase));
-        RevAdj[productState(E.To, ForgetPhase)].push_back(
-            productState(N, ForgetPhase));
-        break;
-      }
-    }
-  }
-  std::vector<bool> Bwd(2 * NumNodes, false);
-  for (GraphNodeId N = 0; N < NumNodes; ++N) {
-    const GraphNode &Node = G.node(N);
-    if (Node.Dtv.isBaseOnly() && IsInteresting(Node.Dtv.base())) {
-      for (Phase P : {RecallPhase, ForgetPhase}) {
-        if (!Bwd[productState(N, P)]) {
-          Bwd[productState(N, P)] = true;
-          Work.push_back(productState(N, P));
+  // Backward co-reachability to sinks (terminal nodes, any phase) over the
+  // reverse product adjacency, laid out flat (CSR): predecessors of state
+  // S are RevPred[RevStart[S] .. RevStart[S+1]).
+  std::vector<uint32_t> RevStart(NumStates + 1, 0);
+  auto ForEachReverse = [&](auto &&Emit) {
+    for (GraphNodeId N = 0; N < NumNodes; ++N) {
+      for (const GraphEdge &E : G.edgesFrom(N)) {
+        switch (E.Kind) {
+        case EdgeKind::One:
+          Emit(productState(E.To, RecallPhase), productState(N, RecallPhase));
+          Emit(productState(E.To, ForgetPhase), productState(N, ForgetPhase));
+          break;
+        case EdgeKind::Recall:
+          Emit(productState(E.To, RecallPhase), productState(N, RecallPhase));
+          break;
+        case EdgeKind::Forget:
+          Emit(productState(E.To, ForgetPhase), productState(N, RecallPhase));
+          Emit(productState(E.To, ForgetPhase), productState(N, ForgetPhase));
+          break;
         }
       }
     }
+  };
+  ForEachReverse([&](uint32_t S, uint32_t) { ++RevStart[S + 1]; });
+  for (size_t S = 0; S < NumStates; ++S)
+    RevStart[S + 1] += RevStart[S];
+  std::vector<uint32_t> RevPred(RevStart[NumStates]);
+  {
+    std::vector<uint32_t> Fill(RevStart.begin(), RevStart.end() - 1);
+    ForEachReverse(
+        [&](uint32_t S, uint32_t Prev) { RevPred[Fill[S]++] = Prev; });
   }
-  while (!Work.empty()) {
-    uint32_t S = Work.front();
-    Work.pop_front();
-    for (uint32_t Prev : RevAdj[S]) {
-      if (!Bwd[Prev]) {
-        Bwd[Prev] = true;
-        Work.push_back(Prev);
-      }
+  std::vector<uint8_t> Bwd(NumStates, 0);
+  Work.clear();
+  for (GraphNodeId N = 0; N < NumNodes; ++N) {
+    if (Terminal[N]) {
+      Reach(Bwd, productState(N, RecallPhase));
+      Reach(Bwd, productState(N, ForgetPhase));
     }
+  }
+  for (size_t I = 0; I < Work.size(); ++I) {
+    uint32_t S = Work[I];
+    for (uint32_t J = RevStart[S]; J < RevStart[S + 1]; ++J)
+      Reach(Bwd, RevPred[J]);
   }
 
   // A graph node survives if some product state is both reachable and
   // co-reachable.
-  std::vector<bool> Alive(NumNodes, false);
+  std::vector<uint8_t> Alive(NumNodes, 0);
   for (GraphNodeId N = 0; N < NumNodes; ++N)
     for (Phase P : {RecallPhase, ForgetPhase})
       if (Fwd[productState(N, P)] && Bwd[productState(N, P)])
-        Alive[N] = true;
+        Alive[N] = 1;
 
   // Existential renaming for surviving uninteresting bases. Fresh names are
   // scoped by the procedure and numbered by a call-local counter so that a
@@ -138,23 +139,54 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
     return TypeVariable::var(
         Syms.intern(FreshPrefix + std::to_string(FreshCounter++)));
   };
-  std::unordered_map<TypeVariable, TypeVariable> Renamed;
+  // Existentials in creation order; a variable's position is its ordinal,
+  // which indexes the dense per-existential state of the tidy pass.
+  // Live[k] says whether Existentials[k] is still an existential of the
+  // scheme (atomization and inlining retire them).
   std::vector<TypeVariable> Existentials;
-  auto Rename = [&](const DerivedTypeVariable &Dtv) {
-    if (IsInteresting(Dtv.base()))
-      return Dtv;
-    auto It = Renamed.find(Dtv.base());
-    if (It == Renamed.end()) {
-      TypeVariable Fresh = FreshVar();
-      It = Renamed.emplace(Dtv.base(), Fresh).first;
-      Existentials.push_back(Fresh);
+  std::vector<uint8_t> Live;
+  std::unordered_map<TypeVariable, uint32_t> Ordinal;
+  constexpr uint32_t NoOrdinal = 0xffffffffu;
+  auto OrdinalOf = [&](TypeVariable V) {
+    auto It = Ordinal.find(V);
+    return It == Ordinal.end() ? NoOrdinal : It->second;
+  };
+  auto AddExistential = [&](TypeVariable Fresh) {
+    Ordinal.emplace(Fresh, static_cast<uint32_t>(Existentials.size()));
+    Existentials.push_back(Fresh);
+    Live.push_back(1);
+  };
+  std::unordered_map<TypeVariable, TypeVariable> Renamed;
+  auto RenameBase = [&](TypeVariable Base) {
+    if (IsInteresting(Base))
+      return Base;
+    auto [It, Inserted] = Renamed.try_emplace(Base);
+    if (Inserted) {
+      It->second = FreshVar();
+      AddExistential(It->second);
     }
-    return DerivedTypeVariable(It->second,
+    return It->second;
+  };
+  auto Rename = [&](const DerivedTypeVariable &Dtv) {
+    return DerivedTypeVariable(RenameBase(Dtv.base()),
                                std::vector<Label>(Dtv.labels().begin(),
                                                   Dtv.labels().end()));
   };
 
-  // Emit one constraint per surviving 1-edge, oriented by the tag.
+  // Emit one constraint per surviving 1-edge, oriented by the tag. Fresh
+  // names are drawn in the order this loop first meets each base (the
+  // graph's order contract, core/ConstraintGraph.h); a node's renamed base
+  // is cached after its first visit.
+  std::vector<TypeVariable> RenamedOf(NumNodes);
+  auto RenameNode = [&](GraphNodeId N) {
+    if (!RenamedOf[N].isValid())
+      RenamedOf[N] = RenameBase(G.base(N));
+    return RenamedOf[N];
+  };
+  auto NodeDtv = [&](TypeVariable Base, GraphNodeId N) {
+    std::span<const Label> W = G.labels(N);
+    return DerivedTypeVariable(Base, std::vector<Label>(W.begin(), W.end()));
+  };
   ConstraintSet Out;
   for (GraphNodeId N = 0; N < NumNodes; ++N) {
     if (!Alive[N])
@@ -163,23 +195,23 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
     for (const GraphEdge &E : G.edgesFrom(N)) {
       if (E.Kind != EdgeKind::One || !Alive[E.To])
         continue;
-      const GraphNode &To = G.node(E.To);
-      DerivedTypeVariable A = Rename(From.Dtv);
-      DerivedTypeVariable B = Rename(To.Dtv);
-      if (A == B)
+      TypeVariable A = RenameNode(N);
+      TypeVariable B = RenameNode(E.To);
+      if (A == B && (From.Dtv == G.node(E.To).Dtv ||
+                     std::ranges::equal(G.labels(N), G.labels(E.To))))
         continue;
       if (From.Tag == Variance::Covariant)
-        Out.addSubtype(A, B);
+        Out.addSubtype(NodeDtv(A, N), NodeDtv(B, E.To));
       else
-        Out.addSubtype(B, A);
+        Out.addSubtype(NodeDtv(B, E.To), NodeDtv(A, N));
     }
   }
 
   // Keep capability declarations rooted at the procedure variable.
   for (GraphNodeId N = 0; N < NumNodes; ++N)
-    if (Alive[N] && G.node(N).Dtv.base() == ProcVar &&
+    if (Alive[N] && G.base(N) == ProcVar &&
         G.node(N).Tag == Variance::Covariant)
-      Out.addVar(G.node(N).Dtv);
+      Out.addVar(G.dtv(N));
 
   // Carry additive constraints over (renamed): the pointer/integer
   // classification downstream needs them. Those left in components with no
@@ -192,8 +224,6 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   // ---------------- Tidy pass ----------------
   std::vector<SubtypeConstraint> Subs(Out.subtypes().begin(),
                                       Out.subtypes().end());
-  std::unordered_set<TypeVariable> Existential(Existentials.begin(),
-                                               Existentials.end());
 
   // First-label atomization: when an existential base never occurs bare
   // and all of its occurrences start with .in_i or .out labels, the label
@@ -202,109 +232,125 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
   // onto independent fresh variables lets the relay-inlining below remove
   // callsite instances entirely.
   {
-    std::unordered_map<TypeVariable, int> Eligible; // 1 = ok, 0 = no
+    // Per ordinal: -1 = not seen, 1 = eligible, 0 = not eligible.
+    std::vector<int8_t> Eligible(Existentials.size(), -1);
     auto Inspect = [&](const DerivedTypeVariable &D) {
-      if (!Existential.count(D.base()))
+      uint32_t K = OrdinalOf(D.base());
+      if (K == NoOrdinal || !Live[K])
         return;
-      auto [It, Inserted] = Eligible.emplace(D.base(), 1);
-      (void)Inserted;
+      if (Eligible[K] < 0)
+        Eligible[K] = 1;
       if (D.isBaseOnly() || (!D.labels()[0].isIn() && !D.labels()[0].isOut()))
-        It->second = 0;
+        Eligible[K] = 0;
     };
     for (const SubtypeConstraint &SC : Subs) {
       Inspect(SC.Lhs);
       Inspect(SC.Rhs);
     }
     for (const AddSubConstraint &AC : Out.addSubs())
-      for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
-        if (Existential.count(D->base()))
-          Eligible[D->base()] = 0;
+      for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z}) {
+        uint32_t K = OrdinalOf(D->base());
+        if (K != NoOrdinal && Live[K])
+          Eligible[K] = 0;
+      }
 
     std::map<std::pair<TypeVariable, Label>, TypeVariable> Split;
-    auto Atomize = [&](const DerivedTypeVariable &D) {
-      auto It = Eligible.find(D.base());
-      if (It == Eligible.end() || It->second != 1)
-        return D;
+    auto Atomize = [&](DerivedTypeVariable &D) {
+      uint32_t K = OrdinalOf(D.base());
+      if (K >= Eligible.size() || Eligible[K] != 1)
+        return;
       auto Key = std::make_pair(D.base(), D.labels()[0]);
       auto SIt = Split.find(Key);
       if (SIt == Split.end()) {
-        TypeVariable Fresh = FreshVar();
-        SIt = Split.emplace(Key, Fresh).first;
-        Existential.insert(Fresh);
-        Existentials.push_back(Fresh);
+        SIt = Split.emplace(Key, FreshVar()).first;
+        AddExistential(SIt->second);
       }
-      return DerivedTypeVariable(
+      D = DerivedTypeVariable(
           SIt->second,
           std::vector<Label>(D.labels().begin() + 1, D.labels().end()));
     };
     for (SubtypeConstraint &SC : Subs) {
-      SC.Lhs = Atomize(SC.Lhs);
-      SC.Rhs = Atomize(SC.Rhs);
+      Atomize(SC.Lhs);
+      Atomize(SC.Rhs);
     }
-    for (const auto &[Base, Ok] : Eligible)
-      if (Ok == 1)
-        Existential.erase(Base);
+    for (size_t K = 0; K < Eligible.size(); ++K)
+      if (Eligible[K] == 1)
+        Live[K] = 0;
   }
+  const size_t NumExistentials = Existentials.size();
   // Variables used in additive constraints cannot be inlined away.
-  std::unordered_set<TypeVariable> Protected;
+  std::vector<uint8_t> Protected(NumExistentials, 0);
   for (const AddSubConstraint &AC : Out.addSubs())
     for (const DerivedTypeVariable *D : {&AC.X, &AC.Y, &AC.Z})
-      Protected.insert(D->base());
+      if (uint32_t K = OrdinalOf(D->base()); K != NoOrdinal)
+        Protected[K] = 1;
 
+  // Occurrence census per existential ordinal: uses under a label, bare
+  // right-hand sides (inflows) and bare left-hand sides (outflows).
+  std::vector<uint32_t> Extended(NumExistentials), AsRhs(NumExistentials),
+      AsLhs(NumExistentials);
+  std::vector<SubtypeConstraint> Next;
+  std::vector<DerivedTypeVariable> Ins, Outs;
   for (unsigned Iter = 0; Iter < Opts.MaxTidyIterations; ++Iter) {
-    // Occurrence census.
-    std::unordered_map<TypeVariable, unsigned> Extended;
-    std::unordered_map<TypeVariable, std::vector<size_t>> AsLhs, AsRhs;
-    for (size_t I = 0; I < Subs.size(); ++I) {
-      const SubtypeConstraint &SC = Subs[I];
-      for (const DerivedTypeVariable *D : {&SC.Lhs, &SC.Rhs})
+    std::fill(Extended.begin(), Extended.end(), 0);
+    std::fill(AsRhs.begin(), AsRhs.end(), 0);
+    std::fill(AsLhs.begin(), AsLhs.end(), 0);
+    for (const SubtypeConstraint &SC : Subs) {
+      for (const DerivedTypeVariable *D : {&SC.Lhs, &SC.Rhs}) {
+        uint32_t K = OrdinalOf(D->base());
+        if (K == NoOrdinal)
+          continue;
         if (!D->isBaseOnly())
-          ++Extended[D->base()];
-      if (SC.Lhs.isBaseOnly())
-        AsLhs[SC.Lhs.base()].push_back(I);
-      if (SC.Rhs.isBaseOnly())
-        AsRhs[SC.Rhs.base()].push_back(I);
+          ++Extended[K];
+        else if (D == &SC.Lhs)
+          ++AsLhs[K];
+        else
+          ++AsRhs[K];
+      }
     }
 
-    TypeVariable Victim;
-    for (TypeVariable V : Existentials) {
-      if (!Existential.count(V) || Protected.count(V) || Extended.count(V))
+    // The first live, unprotected existential (in creation order) that
+    // only relays base-only chains and is cheap to inline.
+    uint32_t VictimK = NoOrdinal;
+    for (uint32_t K = 0; K < NumExistentials; ++K) {
+      if (!Live[K] || Protected[K] || Extended[K])
         continue;
-      size_t In = AsRhs.count(V) ? AsRhs[V].size() : 0;
-      size_t Niche = AsLhs.count(V) ? AsLhs[V].size() : 0;
+      size_t In = AsRhs[K], Niche = AsLhs[K];
       if (In * Niche <= In + Niche + Opts.BloatSlack) {
-        Victim = V;
+        VictimK = K;
         break;
       }
     }
-    if (!Victim.isValid())
+    if (VictimK == NoOrdinal)
       break;
+    const TypeVariable Victim = Existentials[VictimK];
 
-    std::vector<SubtypeConstraint> Next;
-    std::vector<DerivedTypeVariable> Ins, Outs;
-    for (const SubtypeConstraint &SC : Subs) {
+    Next.clear();
+    Ins.clear();
+    Outs.clear();
+    for (SubtypeConstraint &SC : Subs) {
       bool IsIn = SC.Rhs.isBaseOnly() && SC.Rhs.base() == Victim;
       bool IsOut = SC.Lhs.isBaseOnly() && SC.Lhs.base() == Victim;
       if (IsIn && IsOut)
         continue; // τ <= τ
       if (IsIn)
-        Ins.push_back(SC.Lhs);
+        Ins.push_back(std::move(SC.Lhs));
       else if (IsOut)
-        Outs.push_back(SC.Rhs);
+        Outs.push_back(std::move(SC.Rhs));
       else
-        Next.push_back(SC);
+        Next.push_back(std::move(SC));
     }
     for (const DerivedTypeVariable &A : Ins)
       for (const DerivedTypeVariable &B : Outs)
         if (A != B)
           Next.push_back(SubtypeConstraint{A, B});
-    Subs = std::move(Next);
-    Existential.erase(Victim);
+    std::swap(Subs, Next);
+    Live[VictimK] = 0;
   }
 
   ConstraintSet Pruned;
-  for (const SubtypeConstraint &SC : Subs)
-    Pruned.addSubtype(SC.Lhs, SC.Rhs);
+  for (SubtypeConstraint &SC : Subs)
+    Pruned.addSubtype(std::move(SC.Lhs), std::move(SC.Rhs));
   for (const AddSubConstraint &AC : Out.addSubs())
     Pruned.addAddSub(AC);
 
@@ -316,16 +362,17 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
     ShapeGraph Shapes(Pruned);
     std::unordered_map<uint32_t, TypeVariable> RepOfClass;
     std::unordered_map<TypeVariable, TypeVariable> Merge;
-    for (TypeVariable V : Existentials) {
-      if (!Existential.count(V))
+    for (size_t K = 0; K < NumExistentials; ++K) {
+      if (!Live[K])
         continue;
+      TypeVariable V = Existentials[K];
       uint32_t Cls = Shapes.classOf(DerivedTypeVariable(V));
       if (Cls == ShapeGraph::NoClass)
         continue;
       auto [It, Inserted] = RepOfClass.emplace(Cls, V);
       if (!Inserted) {
         Merge[V] = It->second;
-        Existential.erase(V);
+        Live[K] = 0;
       }
     }
     if (!Merge.empty()) {
@@ -356,9 +403,9 @@ Simplifier::simplify(const ConstraintSet &C, TypeVariable ProcVar,
 
   TypeScheme Scheme;
   Scheme.ProcVar = ProcVar;
-  for (TypeVariable V : Existentials)
-    if (Existential.count(V))
-      Scheme.Existentials.push_back(V);
+  for (size_t K = 0; K < NumExistentials; ++K)
+    if (Live[K])
+      Scheme.Existentials.push_back(Existentials[K]);
   Scheme.Constraints = std::move(Final);
   return Scheme;
 }

@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
-#include <map>
 
 using namespace retypd;
 
@@ -47,18 +45,29 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
   G.saturate();
 
   // ---- Lattice bounds (Appendix D.4) ----
-  std::unordered_map<uint32_t, ClassInfo> Info;
+  // Constants are visited in node-id order and each sweep reports nodes in
+  // breadth-first order: that order fills UpperList, which feeds the
+  // Conflicts antichain. One scratch serves every sweep, and each node's
+  // shape class is looked up once. Info is indexed by class id; a class
+  // never touched keeps the defaults, which decorate like no information.
+  std::vector<ClassInfo> Info(Shapes.size());
+  constexpr uint32_t Unresolved = 0xfffffffeu;
+  static_assert(Unresolved != ShapeGraph::NoClass);
+  std::vector<uint32_t> NodeClass(G.numNodes(), Unresolved);
   auto ClassOfNode = [&](GraphNodeId N) -> uint32_t {
-    return Shapes.classOf(G.node(N).Dtv);
+    if (NodeClass[N] == Unresolved)
+      NodeClass[N] = Shapes.classOf(G.dtv(N));
+    return NodeClass[N];
   };
+  OneReachScratch Reach;
   for (GraphNodeId N = 0; N < G.numNodes(); ++N) {
-    const GraphNode &Node = G.node(N);
-    if (!Node.Dtv.base().isConstant() || !Node.Dtv.isBaseOnly())
+    const TypeVariable Base = G.base(N);
+    if (!Base.isConstant() || !G.isBaseOnly(N))
       continue;
-    LatticeElem Kappa = Node.Dtv.base().latticeElem();
-    if (Node.Tag == Variance::Covariant) {
+    LatticeElem Kappa = Base.latticeElem();
+    if (G.node(N).Tag == Variance::Covariant) {
       // 1-paths (κ,⊕) → (n,⊕) witness κ <= dtv(n): lower bounds.
-      for (GraphNodeId M : G.oneReachableFrom(N)) {
+      for (GraphNodeId M : G.oneReachableFrom(N, Reach)) {
         if (M == N)
           continue;
         uint32_t Cls = ClassOfNode(M);
@@ -70,7 +79,7 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
       }
     } else {
       // Mirror paths (κ,⊖) → (n,⊖) witness dtv(n) <= κ: upper bounds.
-      for (GraphNodeId M : G.oneReachableFrom(N)) {
+      for (GraphNodeId M : G.oneReachableFrom(N, Reach)) {
         if (M == N)
           continue;
         uint32_t Cls = ClassOfNode(M);
@@ -89,15 +98,12 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
   // ---- Pointer/integer classification (Figure 13) ----
   // Seeds: classes with load/store capabilities are pointers; classes with
   // numeric lattice bounds are integers.
-  auto ClassOfDtv = [&](const DerivedTypeVariable &D) {
-    return Shapes.classOf(D);
-  };
   for (const auto &Entry : Shapes.nodes()) {
     uint32_t Cls = Shapes.canonical(Entry.second);
     if (Shapes.isPointerClass(Cls))
       Info[Cls].PointerLike = true;
   }
-  for (auto &[Cls, CI] : Info) {
+  for (ClassInfo &CI : Info) {
     if (CI.HasLower && CI.Lower != Lattice::Bottom && Lat.isNumeric(CI.Lower))
       CI.IntegerLike = true;
     if (CI.HasUpper && CI.Upper != Lattice::Top && Lat.isNumeric(CI.Upper))
@@ -119,19 +125,25 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
     }
   };
   auto IsPtr = [&](uint32_t Cls) {
-    return Cls != ShapeGraph::NoClass && Info.count(Cls) &&
-           Info[Cls].PointerLike;
+    return Cls != ShapeGraph::NoClass && Info[Cls].PointerLike;
   };
   auto IsInt = [&](uint32_t Cls) {
-    return Cls != ShapeGraph::NoClass && Info.count(Cls) &&
-           Info[Cls].IntegerLike;
+    return Cls != ShapeGraph::NoClass && Info[Cls].IntegerLike;
   };
+  // Shape classes of each additive constraint's operands, looked up once.
+  struct AddSubClasses {
+    bool IsSub;
+    uint32_t X, Y, Z;
+  };
+  std::vector<AddSubClasses> AddSubs;
+  AddSubs.reserve(C.addSubs().size());
+  for (const AddSubConstraint &AC : C.addSubs())
+    AddSubs.push_back({AC.IsSub, Shapes.classOf(AC.X), Shapes.classOf(AC.Y),
+                       Shapes.classOf(AC.Z)});
   while (Changed) {
     Changed = false;
-    for (const AddSubConstraint &AC : C.addSubs()) {
-      uint32_t X = ClassOfDtv(AC.X), Y = ClassOfDtv(AC.Y),
-               Z = ClassOfDtv(AC.Z);
-      if (!AC.IsSub) {
+    for (const auto &[IsSub, X, Y, Z] : AddSubs) {
+      if (!IsSub) {
         // Z = X + Y (Figure 13, ADD columns).
         if (IsInt(X) && IsInt(Y))
           Mark(Z, false, true);
@@ -172,16 +184,15 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
   // Post-fixpoint defaults (display-policy downgrades, §4.3): a value that
   // flows through addition/subtraction with no pointer evidence anywhere is
   // an integer; integer-like classes with no scalar upper bound get num32.
-  for (const AddSubConstraint &AC : C.addSubs()) {
-    uint32_t X = ClassOfDtv(AC.X), Y = ClassOfDtv(AC.Y), Z = ClassOfDtv(AC.Z);
-    if (!IsPtr(X) && !IsPtr(Y) && !IsPtr(Z)) {
-      Mark(X, false, true);
-      Mark(Y, false, true);
-      Mark(Z, false, true);
+  for (const AddSubClasses &AS : AddSubs) {
+    if (!IsPtr(AS.X) && !IsPtr(AS.Y) && !IsPtr(AS.Z)) {
+      Mark(AS.X, false, true);
+      Mark(AS.Y, false, true);
+      Mark(AS.Z, false, true);
     }
   }
   if (auto Num32 = Lat.lookup("num32")) {
-    for (auto &[Cls, CI] : Info) {
+    for (ClassInfo &CI : Info) {
       if (CI.IntegerLike && !CI.PointerLike && !CI.HasUpper) {
         CI.Upper = *Num32;
         CI.HasUpper = true;
@@ -190,6 +201,15 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
   }
 
   // ---- Sketch extraction ----
+  // Sketch states are (class, variance) pairs, found through a dense
+  // (2 * class + variance) table that each wanted variable resets after
+  // use; the breadth-first queue fixes the node numbering.
+  constexpr uint32_t NoState = 0xffffffffu;
+  std::vector<uint32_t> StateOf(2 * Shapes.size(), NoState);
+  auto stateKey = [](uint32_t Cls, Variance Var) {
+    return 2 * Cls + (Var == Variance::Contravariant ? 1 : 0);
+  };
+  std::vector<uint32_t> Work;
   SketchSolution Solution;
   for (TypeVariable V : Wanted) {
     uint32_t Root = Shapes.classOf(DerivedTypeVariable(V));
@@ -198,17 +218,9 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
       Solution.Sketches.emplace(V, std::move(S));
       continue;
     }
-    // States are (class, variance) pairs; BFS from the root.
-    std::map<std::pair<uint32_t, Variance>, uint32_t> States;
-    std::deque<std::pair<uint32_t, Variance>> Work;
     auto Decorate = [&](uint32_t SketchNode, uint32_t Cls, Variance Var) {
       Sketch::Node &N = S.node(SketchNode);
-      auto It = Info.find(Cls);
-      if (It == Info.end()) {
-        N.Mark = Lattice::Top;
-        return;
-      }
-      const ClassInfo &CI = It->second;
+      const ClassInfo &CI = Info[Cls];
       if (Var == Variance::Covariant)
         N.Mark = CI.HasLower ? CI.Lower : (CI.HasUpper ? CI.Upper
                                                        : Lattice::Top);
@@ -236,28 +248,30 @@ SketchSolution SketchSolver::solve(const ConstraintSet &C,
       }
     };
 
-    auto RootKey = std::make_pair(Root, Variance::Covariant);
-    States[RootKey] = S.root();
+    // BFS from the root; Work holds state keys and doubles as the FIFO
+    // queue and the list of table entries to reset.
+    Work.assign(1, stateKey(Root, Variance::Covariant));
+    StateOf[Work[0]] = S.root();
     Decorate(S.root(), Root, Variance::Covariant);
-    Work.push_back(RootKey);
-    while (!Work.empty()) {
-      auto [Cls, Var] = Work.front();
-      Work.pop_front();
-      uint32_t From = States[{Cls, Var}];
+    for (size_t I = 0; I < Work.size(); ++I) {
+      const uint32_t Cls = Work[I] / 2;
+      const Variance Var =
+          Work[I] % 2 ? Variance::Contravariant : Variance::Covariant;
+      const uint32_t From = StateOf[Work[I]];
       for (const auto &[L, RawChild] : Shapes.childrenOf(Cls)) {
         uint32_t Child = Shapes.canonical(RawChild);
         Variance CV = compose(Var, L.variance());
-        auto Key = std::make_pair(Child, CV);
-        auto It = States.find(Key);
-        if (It == States.end()) {
-          uint32_t Id = S.addNode();
-          Decorate(Id, Child, CV);
-          It = States.emplace(Key, Id).first;
+        uint32_t Key = stateKey(Child, CV);
+        if (StateOf[Key] == NoState) {
+          StateOf[Key] = S.addNode();
+          Decorate(StateOf[Key], Child, CV);
           Work.push_back(Key);
         }
-        S.addEdge(From, L, It->second);
+        S.addEdge(From, L, StateOf[Key]);
       }
     }
+    for (uint32_t Key : Work)
+      StateOf[Key] = NoState;
     Solution.Sketches.emplace(V, std::move(S));
   }
   return Solution;

@@ -2,8 +2,10 @@
 
 #include "support/Stats.h"
 
+#include <functional>
 #include <map>
 #include <mutex>
+#include <string_view>
 
 using namespace retypd;
 
@@ -113,7 +115,9 @@ namespace {
 
 struct PhaseRegistry {
   std::mutex Mutex;
-  std::map<std::string, double> Seconds;
+  // Transparent comparator: add() probes with the caller's const char*,
+  // so only a phase's first use builds a std::string key.
+  std::map<std::string, double, std::less<>> Seconds;
 
   static PhaseRegistry &get() {
     static PhaseRegistry R;
@@ -125,8 +129,12 @@ struct PhaseRegistry {
 
 void PhaseTimes::add(const char *Phase, double Seconds) {
   PhaseRegistry &R = PhaseRegistry::get();
+  std::string_view Name(Phase);
   std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Seconds[Phase] += Seconds;
+  auto It = R.Seconds.find(Name);
+  if (It == R.Seconds.end())
+    It = R.Seconds.emplace(std::string(Name), 0.0).first;
+  It->second += Seconds;
 }
 
 std::vector<std::pair<std::string, double>> PhaseTimes::snapshot() {

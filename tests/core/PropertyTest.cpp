@@ -176,18 +176,18 @@ TEST_P(GraphLaws, MirrorSymmetry) {
       if (G.node(A).Tag != Variance::Covariant)
         continue;
       GraphNodeId AMirror =
-          G.lookup(G.node(A).Dtv, Variance::Contravariant);
+          G.lookup(G.dtv(A), Variance::Contravariant);
       for (GraphNodeId B : G.oneReachableFrom(A)) {
         if (G.node(B).Tag != Variance::Covariant)
           continue;
         GraphNodeId BMirror =
-            G.lookup(G.node(B).Dtv, Variance::Contravariant);
+            G.lookup(G.dtv(B), Variance::Contravariant);
         if (AMirror == ConstraintGraph::NoNode ||
             BMirror == ConstraintGraph::NoNode)
           continue;
         EXPECT_TRUE(pathCoTo(G, BMirror, AMirror))
-            << G.node(A).Dtv.str(Syms, Lat) << " <= "
-            << G.node(B).Dtv.str(Syms, Lat)
+            << G.dtv(A).str(Syms, Lat) << " <= "
+            << G.dtv(B).str(Syms, Lat)
             << " has no mirror derivation";
       }
     }
@@ -212,8 +212,8 @@ TEST_P(GraphLaws, SaturationMonotone) {
 
     for (GraphNodeId A = 0; A < G1.numNodes(); ++A) {
       for (GraphNodeId B : G1.oneReachableFrom(A)) {
-        GraphNodeId A2 = G2.lookup(G1.node(A).Dtv, G1.node(A).Tag);
-        GraphNodeId B2 = G2.lookup(G1.node(B).Dtv, G1.node(B).Tag);
+        GraphNodeId A2 = G2.lookup(G1.dtv(A), G1.node(A).Tag);
+        GraphNodeId B2 = G2.lookup(G1.dtv(B), G1.node(B).Tag);
         EXPECT_TRUE(pathCoTo(G2, A2, B2) || A2 == B2);
       }
     }

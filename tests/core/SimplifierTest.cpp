@@ -169,3 +169,44 @@ TEST_F(SimplifierTest, AddSubSurvives) {
   TypeScheme S = Simp.simplify(C, var("F"), {});
   EXPECT_EQ(S.Constraints.addSubs().size(), 1u);
 }
+
+TEST_F(SimplifierTest, TidyInlinesRelaysInCreationOrder) {
+  // Three relay existentials (a, b, c) between two formals, two outputs
+  // and a global. The tidy pass inlines one victim per iteration, always
+  // the first eligible existential in creation order, and appends each
+  // victim's in x out products after the surviving constraints, so the
+  // victim order shows in the scheme's constraint order. A recursive
+  // local (t) keeps one existential alive across the pass, and its name
+  // shows the creation-order numbering. The expected text was recorded
+  // with the hash-map census that preceded the dense per-ordinal one.
+  ConstraintSet C = parse(R"(
+    F.in0 <= a
+    F.in1 <= a
+    a <= b
+    b <= F.out
+    b <= c
+    c <= g
+    c <= F.out1
+    F.in2 <= t
+    t.load.s32@0 <= t
+    t.load.s32@4 <= c
+  )");
+  TypeScheme S = Simp.simplify(C, var("F"), {var("g")});
+  // Raw constraint order (TypeScheme::str sorts; the codec and the cache
+  // keep this order verbatim).
+  std::string Order;
+  for (const SubtypeConstraint &SC : S.Constraints.subtypes())
+    Order += SC.Lhs.str(Syms, Lat) + " <= " + SC.Rhs.str(Syms, Lat) + "\n";
+  EXPECT_EQ(Order, "F.in2 <= τ$F$3\n"
+                   "τ$F$3.load.s32@0 <= τ$F$3\n"
+                   "F.in0 <= F.out\n"
+                   "F.in1 <= F.out\n"
+                   "τ$F$3.load.s32@4 <= g\n"
+                   "τ$F$3.load.s32@4 <= F.out1\n"
+                   "F.in0 <= g\n"
+                   "F.in0 <= F.out1\n"
+                   "F.in1 <= g\n"
+                   "F.in1 <= F.out1\n");
+  ASSERT_EQ(S.Existentials.size(), 1u);
+  EXPECT_EQ(Syms.name(S.Existentials[0].symbol()), "τ$F$3");
+}

@@ -174,3 +174,28 @@ TEST_F(SolverTest, UnknownVariableGetsTrivialSketch) {
   SketchSolution Sol = Solver.solve(C, std::vector<TypeVariable>{Z});
   EXPECT_EQ(Sol.sketchFor(Z).size(), 1u);
 }
+
+TEST_F(SolverTest, ConflictingUpperBoundsKeepVisitOrder) {
+  // Three constant upper bounds reach one class: int, #SuccessZ and
+  // #FileDescriptor. Their meet is bottom, so the sketch keeps the
+  // minimal antichain {#SuccessZ, #FileDescriptor} for union resolution
+  // (Example 4.2). Its order is the order in which the constants' sweeps
+  // reach the class (constants in node-id order), which the C-type union
+  // and the encoded sketches both follow.
+  ConstraintSet C = parse(R"(
+    F.in0 <= a
+    a <= b
+    b <= #SuccessZ
+    a <= #FileDescriptor
+    a <= int
+  )");
+  TypeVariable F = var("F");
+  SketchSolution Sol = Solver.solve(C, std::vector<TypeVariable>{F});
+  const Sketch &S = Sol.sketchFor(F);
+  std::optional<uint32_t> In0 = S.stateAt(word("x.in0"));
+  ASSERT_TRUE(In0.has_value());
+  const Sketch::Node &N = S.node(*In0);
+  EXPECT_EQ(N.Mark, Lattice::Bottom);
+  EXPECT_EQ(N.Conflicts, (std::vector<LatticeElem>{elem("#SuccessZ"),
+                                                   elem("#FileDescriptor")}));
+}

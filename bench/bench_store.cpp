@@ -1,13 +1,11 @@
 //===- bench_store.cpp - Artifact-store data-plane benchmark --------------===//
 //
-// Measures the durable artifact store (store/Store.h) against the legacy
-// single-file cache persistence on one synthetic module:
+// Measures the durable artifact store (store/Store.h) on one synthetic
+// module:
 //
 //   append      flushToStore() of a cold run's artifacts: records/s, MB/s
 //   warm (mmap) a fresh SummaryCache over the store directory — every
 //               probe decodes zero-copy out of the mapped segments
-//   warm (file) a fresh SummaryCache load()ing the legacy v3 file — the
-//               whole file is parsed and copied into memory up front
 //   compact     fold a store with ~50% dead bytes into a new generation
 //
 // The store-warm run is also the CI gate: this binary exits nonzero
@@ -85,9 +83,7 @@ int main(int argc, char **argv) {
   SynthProgram P = Gen.generate("store-bench", O);
 
   fs::path Dir = fs::temp_directory_path() / "retypd_bench_store";
-  fs::path LegacyFile = fs::temp_directory_path() / "retypd_bench_store.bin";
   fs::remove_all(Dir);
-  fs::remove(LegacyFile);
 
   std::printf("artifact-store data plane (%zu instructions, 1 thread, "
               "min of %u runs per mode)\n\n",
@@ -120,21 +116,15 @@ int main(int argc, char **argv) {
   std::printf("append             %8.3f s  (%zu records, %.0f rec/s, "
               "%.1f MiB/s)\n",
               AppendSecs, *Appended, AppendRecsPerSec, AppendMbPerSec);
-  if (!Cold.save(LegacyFile.string())) {
-    std::fprintf(stderr, "cannot save legacy file\n");
-    return 1;
-  }
 
-  // ---- Warm walls: mmap store vs legacy file ---------------------------
+  // ---- Warm wall: mmap store -------------------------------------------
   // Each sample models a fresh process: the wall includes attaching the
-  // persistence (openStore maps segments; load parses and copies the
-  // whole file into memory up front) plus the analysis itself. A fresh
+  // store (openStore maps segments) plus the analysis itself. A fresh
   // SummaryCache per sample keeps the decoded-value memo out of the
   // measurement.
   if (DecodeBudget <= 0)
     DecodeBudget = 1.0e-6 * static_cast<double>(P.M.instructionCount());
   double StoreWarm = 0, DecodeSecs = 0;
-  double LegacyWarm = 0;
   bool StoreClean = true;
   uint64_t StoreHits = 0, StoreCopies = 0, PoolBindHits = 0;
   for (unsigned I = 0; I < kSamples; ++I) {
@@ -163,20 +153,9 @@ int main(int argc, char **argv) {
         PoolBindHits > 0;
   }
   StoreClean = StoreClean && DecodeSecs <= DecodeBudget;
-  for (unsigned I = 0; I < kSamples; ++I) {
-    SummaryCache Warm;
-    Clock::time_point W0 = Clock::now();
-    if (!Warm.load(LegacyFile.string())) {
-      std::fprintf(stderr, "cannot load legacy file\n");
-      return 1;
-    }
-    double Wall = secondsSince(W0) + runOnce(P, Lat, &Warm);
-    LegacyWarm = I == 0 ? Wall : std::min(LegacyWarm, Wall);
-  }
   std::printf("warm (mmap store)  %8.3f s  (%llu store hits, %llu copies)\n",
               StoreWarm, static_cast<unsigned long long>(StoreHits),
               static_cast<unsigned long long>(StoreCopies));
-  std::printf("warm (legacy file) %8.3f s\n", LegacyWarm);
   std::printf("store-warm decode  %8.3f s  (budget %.3f s, %llu pool-bind "
               "hits)\n",
               DecodeSecs, DecodeBudget,
@@ -229,8 +208,6 @@ int main(int argc, char **argv) {
         "  \"append_records_per_sec\": %.1f,\n"
         "  \"append_mib_per_sec\": %.3f,\n"
         "  \"warm_store_wall_secs\": %.6f,\n"
-        "  \"warm_legacy_file_wall_secs\": %.6f,\n"
-        "  \"warm_store_vs_legacy\": %.3f,\n"
         "  \"store_hits\": %llu,\n"
         "  \"store_payload_copies\": %llu,\n"
         "  \"pool_bind_hits\": %llu,\n"
@@ -244,8 +221,7 @@ int main(int argc, char **argv) {
         P.M.instructionCount(),
         std::max(1u, std::thread::hardware_concurrency()), Entries,
         PayloadBytes, AppendSecs, AppendRecsPerSec, AppendMbPerSec,
-        StoreWarm, LegacyWarm,
-        StoreWarm > 0 ? LegacyWarm / StoreWarm : 0.0,
+        StoreWarm,
         static_cast<unsigned long long>(StoreHits),
         static_cast<unsigned long long>(StoreCopies),
         static_cast<unsigned long long>(PoolBindHits), DecodeSecs,
@@ -255,6 +231,5 @@ int main(int argc, char **argv) {
     std::printf("wrote BENCH_store.json\n");
   }
   fs::remove_all(Dir);
-  fs::remove(LegacyFile);
   return StoreClean ? 0 : 1;
 }

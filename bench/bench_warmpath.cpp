@@ -1,6 +1,6 @@
 //===- bench_warmpath.cpp - Warm-cache phase breakdown --------------------===//
 //
-// Measures the warm summary-cache path directly instead of inferring it
+// Measures the warm summary cache path directly instead of inferring it
 // from end-to-end times: one synthetic module analyzed cold (populating a
 // shared cache) and then warm, with the per-phase wall-clock accumulators
 // (support/Stats.h PhaseTimes) split out for each run:

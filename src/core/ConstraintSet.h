@@ -96,7 +96,7 @@ public:
   /// Reorders this set in place into canonical structural order (see
   /// canonicalView). A pure permutation: the dedup indexes are
   /// content-based and stay valid, nothing is re-hashed or copied.
-  /// Canonicalization makes summary-cache round trips and fresh
+  /// Canonicalization makes summary cache round trips and fresh
   /// simplification results bit-identical, constraint order included: the
   /// binary codec preserves order verbatim, and a canonicalized set
   /// re-canonicalizes to itself.

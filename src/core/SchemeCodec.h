@@ -9,7 +9,7 @@
 /// operating on the *interned structural form* of a scheme rather than its
 /// rendered text:
 ///
-///  1. A fixed-layout binary codec (payload schema v3 of the summary-cache
+///  1. A fixed-layout binary codec (payload schema v3 of the summary cache
 ///     format). Payloads are offset-based records — flat u32/u64 arrays at
 ///     computable offsets, read in place through alignment-safe accessors
 ///     (support/Endian.h) — so the mmapped store bytes ARE the runtime
@@ -60,7 +60,7 @@
 namespace retypd {
 
 /// Version tag of the binary payload layout. The low bits of the first
-/// payload byte, and the cache file header's schema version. v3 is the
+/// payload byte, and the store MANIFEST's schema version. v3 is the
 /// fixed-layout offset format; v2 (LEB128 streams) payloads are refused.
 inline constexpr unsigned kSchemePayloadVersion = 3;
 

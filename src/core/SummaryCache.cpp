@@ -6,11 +6,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <mutex>
-
-#include <unistd.h>
 
 using namespace retypd;
 
@@ -311,8 +307,7 @@ SummaryCache::materializeGen(const SummaryKey &K, SymbolTable &Syms,
 bool SummaryCache::openStore(const std::string &Dir, std::string *Err) {
   StoreOptions O;
   O.SchemaVersion = kSummaryCacheSchemaVersion;
-  // The analyze path owns regeneration: a stale store is a cold store,
-  // exactly like a stale cache file (which load() simply ignores).
+  // The analyze path owns regeneration: a stale store is a cold store.
   O.RegenerateStale = true;
   // Structural validation runs once per record at segment scan; every
   // probe afterwards decodes through the codec's trusted fast path.
@@ -461,243 +456,4 @@ size_t SummaryCache::payloadBytes() const {
       Bytes += E.second.size();
   }
   return Bytes;
-}
-
-size_t SummaryCache::pruneToBytes(size_t MaxBytes) {
-  // Hold every shard exclusively (fixed order — the same order save() and
-  // the copy paths use) so the victim choice sees one consistent snapshot.
-  std::array<std::unique_lock<std::shared_mutex>, kNumShards> Locks;
-  for (unsigned I = 0; I < kNumShards; ++I)
-    Locks[I] = std::unique_lock<std::shared_mutex>(Shards[I].M);
-  size_t Total = 0;
-  std::vector<const std::pair<const SummaryKey, std::string> *> Sorted;
-  for (Shard &Sh : Shards)
-    for (const auto &E : Sh.Entries) {
-      Total += E.second.size();
-      Sorted.push_back(&E);
-    }
-  if (Total <= MaxBytes)
-    return 0;
-  // Deterministic victim order: largest payloads first, key order on ties.
-  std::sort(Sorted.begin(), Sorted.end(), [](const auto *A, const auto *B) {
-    if (A->second.size() != B->second.size())
-      return A->second.size() > B->second.size();
-    return std::make_pair(A->first.Hi, A->first.Lo) <
-           std::make_pair(B->first.Hi, B->first.Lo);
-  });
-  size_t Dropped = 0;
-  for (const auto *E : Sorted) {
-    if (Total <= MaxBytes)
-      break;
-    Total -= E->second.size();
-    const SummaryKey K = E->first; // copy: E points into the erased node
-    Shards[shardOf(K)].Entries.erase(K);
-    ++Dropped;
-  }
-  return Dropped;
-}
-
-namespace {
-
-/// Parses the version header line. Accepts only the current layout:
-///   retypd-summary-cache v<FileVersion> schema <SchemaVersion>
-bool parseHeader(const std::string &Line, unsigned &FileVersion,
-                 unsigned &SchemaVersion) {
-  unsigned V = 0, S = 0;
-  if (std::sscanf(Line.c_str(), "retypd-summary-cache v%u schema %u", &V,
-                  &S) != 2)
-    return false;
-  FileVersion = V;
-  SchemaVersion = S;
-  return true;
-}
-
-bool fileVersionIsNewer(unsigned FileVersion, unsigned SchemaVersion) {
-  return FileVersion > kSummaryCacheFileVersion ||
-         (FileVersion == kSummaryCacheFileVersion &&
-          SchemaVersion > kSummaryCacheSchemaVersion);
-}
-
-std::string versionMismatchError(unsigned FileVersion,
-                                 unsigned SchemaVersion) {
-  std::string Versions = "(v" + std::to_string(FileVersion) + " schema " +
-                         std::to_string(SchemaVersion) + "; this binary: v" +
-                         std::to_string(kSummaryCacheFileVersion) +
-                         " schema " +
-                         std::to_string(kSummaryCacheSchemaVersion) + ")";
-  // Direction matters: an OLDER file is stale and safe to regenerate; a
-  // NEWER file was written by a newer binary, and "regenerate" would
-  // destroy its valid contents.
-  if (fileVersionIsNewer(FileVersion, SchemaVersion))
-    return "cache file is newer than this binary " + Versions +
-           " — upgrade the binary or point it at a different cache file";
-  return "stale cache file " + Versions +
-         " — re-run analyze to regenerate it";
-}
-
-} // namespace
-
-// File format (version kSummaryCacheFileVersion):
-//   retypd-summary-cache v3 schema 2
-//   entry <hex key> <byte count>\n
-//   <binary payload bytes>\n
-//   ... repeated ...
-// Older headers (v1's unversioned "retypd-summary-cache-v1", v2's textual
-// schemes) are rejected wholesale: a stale cache is a cold cache.
-bool SummaryCache::load(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return false;
-  // File size bounds every entry's claimed byte count: the count is
-  // untrusted input, and allocating a string from a corrupt multi-GB (or
-  // 2^64-1) value would abort the process instead of treating the entry
-  // as a malformed tail.
-  In.seekg(0, std::ios::end);
-  const std::streamoff End = In.tellg();
-  In.seekg(0, std::ios::beg);
-  std::string Line;
-  unsigned FileVersion = 0, SchemaVersion = 0;
-  if (!std::getline(In, Line) ||
-      !parseHeader(Line, FileVersion, SchemaVersion) ||
-      FileVersion != kSummaryCacheFileVersion ||
-      SchemaVersion != kSummaryCacheSchemaVersion)
-    return false;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    unsigned long long Hi = 0, Lo = 0, Bytes = 0;
-    if (std::sscanf(Line.c_str(), "entry %16llx%16llx %llu", &Hi, &Lo,
-                    &Bytes) != 3)
-      return true; // ignore malformed tail
-    std::streamoff Pos = In.tellg();
-    if (Pos < 0 ||
-        Bytes > static_cast<unsigned long long>(End - Pos))
-      return true; // claimed payload exceeds the file: malformed tail
-    std::string Payload(Bytes, '\0');
-    In.read(Payload.data(), static_cast<std::streamsize>(Bytes));
-    if (static_cast<unsigned long long>(In.gcount()) != Bytes)
-      return true;
-    In.get(); // trailing newline
-    SummaryKey K{Hi, Lo};
-    Shard &Sh = shard(K);
-    std::unique_lock<std::shared_mutex> Lock(Sh.M);
-    Sh.Entries.try_emplace(K, std::move(Payload));
-  }
-  return true;
-}
-
-bool SummaryCache::save(const std::string &Path) const {
-  // Unique staging name per save: concurrent saves to one shared cache
-  // file — from other processes or other threads of this one — must not
-  // interleave writes into the same tmp file (each rename below stays
-  // atomic; last writer wins wholesale).
-  static std::atomic<uint64_t> SaveSeq{0};
-  std::string Tmp = Path + ".tmp." +
-                    std::to_string(static_cast<long>(::getpid())) + "." +
-                    std::to_string(SaveSeq.fetch_add(1));
-  bool Written = false;
-  {
-    std::ofstream OutF(Tmp, std::ios::binary | std::ios::trunc);
-    if (!OutF)
-      return false;
-    OutF << "retypd-summary-cache v" << kSummaryCacheFileVersion << " schema "
-         << kSummaryCacheSchemaVersion << '\n';
-    // One consistent snapshot across shards (shared locks, fixed order).
-    std::array<std::shared_lock<std::shared_mutex>, kNumShards> Locks;
-    for (unsigned I = 0; I < kNumShards; ++I)
-      Locks[I] = std::shared_lock<std::shared_mutex>(Shards[I].M);
-    // Deterministic file contents: sort by key across all shards.
-    std::vector<const std::pair<const SummaryKey, std::string> *> Sorted;
-    for (const Shard &Sh : Shards)
-      for (const auto &E : Sh.Entries)
-        Sorted.push_back(&E);
-    std::sort(Sorted.begin(), Sorted.end(), [](const auto *A, const auto *B) {
-      return std::make_pair(A->first.Hi, A->first.Lo) <
-             std::make_pair(B->first.Hi, B->first.Lo);
-    });
-    for (const auto *E : Sorted) {
-      OutF << "entry " << E->first.hex() << ' ' << E->second.size() << '\n';
-      OutF.write(E->second.data(),
-                 static_cast<std::streamsize>(E->second.size()));
-      OutF << '\n';
-    }
-    Written = static_cast<bool>(OutF);
-  }
-  // Never abandon the uniquely-named staging file: failed saves would
-  // otherwise accumulate one orphan per attempt next to the cache.
-  if (!Written || std::rename(Tmp.c_str(), Path.c_str()) != 0) {
-    std::remove(Tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
-CacheFileInfo SummaryCache::inspectFile(const std::string &Path) {
-  CacheFileInfo Info;
-  Info.ShardEntryCounts.assign(kNumShards, 0);
-  std::ifstream In(Path, std::ios::binary);
-  if (!In) {
-    Info.Error = "cannot open file";
-    return Info;
-  }
-  std::string Line;
-  if (!std::getline(In, Line)) {
-    Info.Error = "empty file";
-    return Info;
-  }
-  if (!parseHeader(Line, Info.FileVersion, Info.SchemaVersion)) {
-    // The pre-versioning v1 layout ("retypd-summary-cache-v1") is still a
-    // cache file — tell the user how to move on, not just that the header
-    // is odd.
-    if (Line.rfind("retypd-summary-cache", 0) == 0) {
-      Info.Stale = true;
-      Info.FileVersion = 1;
-      Info.SchemaVersion = 1;
-      Info.Error = versionMismatchError(1, 1);
-    } else {
-      Info.Error = "unrecognized header: " + Line;
-    }
-    return Info;
-  }
-  if (Info.FileVersion != kSummaryCacheFileVersion ||
-      Info.SchemaVersion != kSummaryCacheSchemaVersion) {
-    if (fileVersionIsNewer(Info.FileVersion, Info.SchemaVersion))
-      Info.Newer = true;
-    else
-      Info.Stale = true;
-    Info.Error = versionMismatchError(Info.FileVersion, Info.SchemaVersion);
-    return Info;
-  }
-  // Bound payload skips by the real file size: seekg past EOF does not
-  // fail until the next read, which would count a truncated final entry
-  // as present (and disagree with what load() accepts). Measure on the
-  // one open stream — a reopen could race with unlink/chmod and return
-  // -1, silently neutralizing the bound.
-  const std::streamoff HeaderEnd = In.tellg();
-  In.seekg(0, std::ios::end);
-  const std::streamoff End = In.tellg();
-  In.seekg(HeaderEnd, std::ios::beg);
-  if (HeaderEnd < 0 || End < 0) {
-    Info.Error = "cannot determine file size";
-    return Info;
-  }
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    unsigned long long Hi = 0, Lo = 0, Bytes = 0;
-    if (std::sscanf(Line.c_str(), "entry %16llx%16llx %llu", &Hi, &Lo,
-                    &Bytes) != 3)
-      break; // malformed tail: count what parsed
-    std::streamoff Pos = In.tellg();
-    // Compare in the unsigned domain: a corrupt 2^63+ byte count would
-    // cast to a negative streamoff and slip past a signed comparison.
-    if (Pos < 0 || Bytes > static_cast<unsigned long long>(End - Pos))
-      break; // truncated payload: load() rejects it too
-    In.seekg(static_cast<std::streamoff>(Bytes + 1), std::ios::cur);
-    ++Info.EntryCount;
-    ++Info.ShardEntryCounts[shardOf(SummaryKey{Hi, Lo})];
-    Info.PayloadBytes += Bytes;
-  }
-  Info.Ok = true;
-  return Info;
 }

@@ -28,22 +28,21 @@
 /// lookup() hands back a decoded TypeScheme value. Payloads round-trip
 /// losslessly (schemes are canonicalized before storage and decode
 /// reproduces the canonical set exactly, order included), so the cache is
-/// safe to persist with save() and reload with load() — the
-/// `--summary-cache PATH` flag of retypd-cli.
+/// safe to persist.
 ///
 /// Thread safe and SHARDED: entries are distributed over 16 shards by key
 /// hash, each guarded by its own shared_mutex. Worker threads of the
 /// parallel pipeline probe under shared (read) locks — the warm path takes
 /// no exclusive lock at all — and inserts touch only the owning shard.
 ///
-/// Durability comes in two shapes. The legacy load()/save() round-trips
-/// the whole cache through one v3 file (now the import/export path), while
-/// openStore()/flushToStore() attach a multi-process artifact store
-/// (store/Store.h): probes that miss the in-memory map decode zero-copy
-/// out of the store's memory-mapped journal segments, and appends are
-/// incremental under an advisory file lock. The store is opened with a
-/// structural validator, so every record is checked ONCE at segment scan
-/// and probes run the codec's trusted decoders straight off the mapping.
+/// Durability is the multi-process artifact store (store/Store.h, the
+/// `--store DIR` flag of retypd-cli), attached with openStore() and
+/// appended to with flushToStore(): probes that miss the in-memory map
+/// decode zero-copy out of the store's memory-mapped journal segments,
+/// and appends are incremental under an advisory file lock. The store is
+/// opened with a structural validator, so every record is checked ONCE at
+/// segment scan and probes run the codec's trusted decoders straight off
+/// the mapping.
 /// Store payloads carry names as ids into the store's name pool; the
 /// cache batch-interns the pool once per (store pool epoch, symbol
 /// table) into a translation table (PoolBindingView), so a warm probe
@@ -74,33 +73,11 @@
 
 namespace retypd {
 
-/// Cache-file format versioning. `kSummaryCacheFileVersion` covers the
-/// container layout (header + entry framing); `kSummaryCacheSchemaVersion`
-/// covers the serialized-scheme payload format and tracks
-/// kSchemePayloadVersion. Bump either and every older cache file is
-/// invalidated *cleanly at load time* — one header check instead of
-/// per-entry decode failures silently degrading hit rates. Version
-/// history: v1 text entries (unversioned header), v2 text entries
-/// (versioned header), v3 binary payloads + structural-hash keys.
-inline constexpr unsigned kSummaryCacheFileVersion = 3;
+/// The payload schema a store is stamped with; tracks
+/// kSchemePayloadVersion. A bump invalidates every older store *cleanly at
+/// open time* — one MANIFEST check instead of per-entry decode failures
+/// silently degrading hit rates.
 inline constexpr unsigned kSummaryCacheSchemaVersion = kSchemePayloadVersion;
-
-/// What SummaryCache::inspectFile learned about a cache file on disk.
-struct CacheFileInfo {
-  bool Ok = false;          ///< header valid and version/schema current
-  std::string Error;        ///< why not, when !Ok
-  bool Stale = false;       ///< header parsed; file format OLDER than binary
-                            ///< (safe to regenerate)
-  bool Newer = false;       ///< header parsed; file written by a NEWER
-                            ///< binary (do NOT regenerate)
-  unsigned FileVersion = 0; ///< parsed container version (0 = unreadable)
-  unsigned SchemaVersion = 0;
-  size_t EntryCount = 0;    ///< entries seen (header-compatible files only)
-  size_t PayloadBytes = 0;  ///< serialized scheme bytes across entries
-  /// Entries per in-memory shard (keys map to the same shard in every
-  /// process — the shard index derives from the key itself).
-  std::vector<size_t> ShardEntryCounts;
-};
 
 /// 128-bit content hash identifying one cached problem (a simplification
 /// or a solve). Exactly a Hash128 value — aliased rather than wrapped so
@@ -146,7 +123,7 @@ public:
   /// Computes the content key for SOLVING an (already canonical) constraint
   /// set for the given wanted-variable names (Algorithm F.2's per-SCC raw
   /// solution — a pure function of exactly these inputs). Domain-separated
-  /// from scheme keys, so the two entry kinds can share one cache file.
+  /// from scheme keys, so the two entry kinds can share one store.
   /// Backend-separated like keyFor.
   static SummaryKey solveKeyFor(const Hash128 &SetHash,
                                 const std::vector<std::string> &WantedNames,
@@ -266,25 +243,6 @@ public:
 
   /// Total serialized-scheme bytes across all entries.
   size_t payloadBytes() const;
-
-  /// Drops entries, largest first (key order on ties), until the payload
-  /// total fits \p MaxBytes. Returns the number of entries dropped.
-  size_t pruneToBytes(size_t MaxBytes);
-
-  /// Loads entries from a cache file; merges into the current contents.
-  /// Returns false (leaving the cache unchanged) on unreadable files and
-  /// on files whose header version or schema version is stale — a stale
-  /// cache is simply a cold cache; malformed trailing entries are ignored.
-  bool load(const std::string &Path);
-
-  /// Writes every entry to \p Path (atomically via rename), with the
-  /// current version header.
-  bool save(const std::string &Path) const;
-
-  /// Reads a cache file's header (and, when current, tallies its entries)
-  /// without touching any in-memory cache. Stale-but-recognized versions
-  /// set Stale and an Error telling the user to re-run analyze.
-  static CacheFileInfo inspectFile(const std::string &Path);
 
 private:
   struct Shard {

@@ -787,7 +787,7 @@ ConstraintSet AnalysisSession::RunState::generateScc(
   // numbering and solver traversals follow constraint order, and the
   // Tarjan member order that produced it can flip when *other* parts of
   // the call graph change. The structural sort makes every downstream
-  // result (and the summary-cache key hashed from the same canonical
+  // result (and the summary cache key hashed from the same canonical
   // order) a pure function of the constraint *set*, which both the cache
   // and incremental reuse depend on — with no canonical text ever
   // materialized.

@@ -304,7 +304,7 @@ public:
   const SymbolTable &symbols() const { return *Syms; }
   /// The cache analyze() actually consults — the external cache when one
   /// was configured, the session-owned one otherwise. Persist it with
-  /// save()/load().
+  /// SessionOptions::StoreDir.
   SummaryCache &summaryCache() {
     return Opts.ExternalCache ? *Opts.ExternalCache : OwnedCache;
   }

@@ -1256,7 +1256,7 @@ Store::compactImpl(const std::function<bool(const Hash128 &, size_t)> *Keep,
       continue;
     Kept.push_back(E);
   }
-  // Deterministic segment contents: key order, like the legacy save().
+  // Deterministic segment contents: key order.
   std::sort(Kept.begin(), Kept.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
 
@@ -1359,15 +1359,8 @@ Store::compactImpl(const std::function<bool(const Hash128 &, size_t)> *Keep,
 // Inspection
 //===----------------------------------------------------------------------===//
 
-bool Store::looksLikeStoreDir(const std::string &Path) {
-  std::error_code EC;
-  return fs::is_directory(Path, EC);
-}
-
 bool Store::isUninitializedDir(const std::string &Path) {
   std::error_code EC;
-  if (!fs::exists(Path, EC))
-    return true;
   if (!fs::is_directory(Path, EC))
     return false;
   for (const auto &Entry : fs::directory_iterator(Path, EC)) {

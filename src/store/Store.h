@@ -6,10 +6,10 @@
 ///
 /// \file
 /// An on-disk, multi-process artifact store for content-addressed binary
-/// payloads — the durable backing of core/SummaryCache. Where the legacy
-/// `--summary-cache FILE` format rewrites one file wholesale on every
-/// save, the store is a directory of append-only *journaled segments*
-/// plus a generation-numbered MANIFEST, designed so that
+/// payloads — the durable backing of core/SummaryCache and the only way a
+/// scheme reaches disk. The store is a directory of append-only
+/// *journaled segments* plus a generation-numbered MANIFEST, designed so
+/// that
 ///
 ///  - **appends are incremental**: a run adds only its new payloads, as
 ///    framed records at the tail of the active segment;
@@ -58,9 +58,9 @@
 /// torn or flipped byte in a record is detected without trusting the
 /// record's own framing. `schema` tracks the payload codec version
 /// (kSchemePayloadVersion via the owning cache): a store written by an
-/// older codec is stale wholesale — same philosophy as the cache file
-/// header — and is either refused with an actionable message or, when
-/// the caller opts in (the analyze path), reinitialized empty.
+/// older codec is stale wholesale and is either refused with an
+/// actionable message or, when the caller opts in (the analyze path),
+/// reinitialized empty.
 ///
 /// The name pool makes payload name resolution a batch operation: pool-
 /// mode payloads reference names as u32 ids into the pool, and a reader
@@ -357,13 +357,9 @@ public:
        const std::function<bool(std::string_view Payload, uint64_t PoolSize)>
            &ValidatePayload = {});
 
-  /// True when \p Path is a directory that looks like (any version of) a
-  /// store — used by the CLI to route `cache` verbs.
-  static bool looksLikeStoreDir(const std::string &Path);
-
-  /// True when \p Path is absent or an empty directory (a leftover LOCK
-  /// file is tolerated) — the state a `--store` path is in before the
-  /// first analyze. The CLI reports such directories as a clean empty
+  /// True when \p Path is an empty directory (a leftover LOCK file is
+  /// tolerated) — the state a `--store` path is in before the first
+  /// analyze. The CLI reports such directories as a clean empty
   /// store instead of an error, and must NOT initialize them: a read
   /// verb against a mistyped path should leave no files behind.
   static bool isUninitializedDir(const std::string &Path);

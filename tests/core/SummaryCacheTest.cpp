@@ -2,9 +2,9 @@
 //
 // Covers structural-hash key canonicalization (hit/miss semantics), binary
 // codec round trips through the cache, corrupt-entry self-healing,
-// sharded-state invariants, file persistence (format v3), stale-version
-// rejection, and a many-tiny-SCCs stress run through the parallel pipeline
-// with a shared cache.
+// sharded-state invariants, persistence through the artifact store, and a
+// many-tiny-SCCs stress run through the parallel pipeline with a shared
+// cache.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 using namespace retypd;
@@ -89,7 +88,7 @@ TEST_F(SummaryCacheTest, KeyIsContentAddressed) {
 TEST_F(SummaryCacheTest, KeyIsSymbolTableIndependent) {
   // The same structural content must key identically from a symbol table
   // with a completely different id allocation history — that is what
-  // makes keys (and cache files) portable across processes.
+  // makes keys (and stored payloads) portable across processes.
   ConstraintSet A = parse("F.in0 <= x\nx <= F.out");
   auto K1 = SummaryCache::keyFor(A, var("F"), {}, Opts, Syms, Lat);
 
@@ -177,160 +176,6 @@ TEST_F(SummaryCacheTest, ContentChangeInvalidatesNaturally) {
   EXPECT_FALSE(Cache.lookup(K2, Syms, Lat).has_value());
   EXPECT_TRUE(
       Cache.lookup(K1, Syms, Lat).has_value()); // old entry intact for old key
-}
-
-TEST_F(SummaryCacheTest, SaveAndLoadPreserveEntries) {
-  namespace fs = std::filesystem;
-  fs::path File = fs::temp_directory_path() / "retypd_cache_test.bin";
-  fs::remove(File);
-
-  SummaryCache Cache;
-  TypeScheme Scheme = makeScheme("F");
-  auto K = SummaryCache::keyFor(Scheme.Constraints, var("F"), {}, Opts, Syms,
-                                Lat);
-  Cache.insert(K, Scheme, Syms, Lat);
-  ASSERT_TRUE(Cache.save(File.string()));
-
-  SummaryCache Loaded;
-  ASSERT_TRUE(Loaded.load(File.string()));
-  EXPECT_EQ(Loaded.size(), 1u);
-
-  // Decode into a FRESH symbol table: payloads carry their own names.
-  SymbolTable Fresh;
-  auto Hit = Loaded.lookup(K, Fresh, Lat);
-  ASSERT_TRUE(Hit.has_value());
-  EXPECT_EQ(Hit->str(Fresh, Lat), Scheme.str(Syms, Lat));
-
-  EXPECT_FALSE(Loaded.load("/nonexistent/path/cache.bin"));
-  fs::remove(File);
-}
-
-TEST_F(SummaryCacheTest, VersionedHeaderRoundTrip) {
-  namespace fs = std::filesystem;
-  fs::path File = fs::temp_directory_path() / "retypd_cache_hdr.bin";
-  fs::remove(File);
-
-  SummaryCache Cache;
-  TypeScheme Scheme = makeScheme("F");
-  auto K = SummaryCache::keyFor(Scheme.Constraints, var("F"), {}, Opts, Syms,
-                                Lat);
-  Cache.insert(K, Scheme, Syms, Lat);
-  ASSERT_TRUE(Cache.save(File.string()));
-
-  CacheFileInfo Info = SummaryCache::inspectFile(File.string());
-  EXPECT_TRUE(Info.Ok) << Info.Error;
-  EXPECT_EQ(Info.FileVersion, kSummaryCacheFileVersion);
-  EXPECT_EQ(Info.SchemaVersion, kSummaryCacheSchemaVersion);
-  EXPECT_EQ(Info.EntryCount, 1u);
-  EXPECT_EQ(Info.PayloadBytes, Cache.payloadBytes());
-  // Per-shard tallies agree with the total and with the key's home shard.
-  ASSERT_EQ(Info.ShardEntryCounts.size(), SummaryCache::kNumShards);
-  size_t Total = 0;
-  for (size_t N : Info.ShardEntryCounts)
-    Total += N;
-  EXPECT_EQ(Total, Info.EntryCount);
-  EXPECT_EQ(Info.ShardEntryCounts[SummaryCache::shardOf(K)], 1u);
-  fs::remove(File);
-}
-
-TEST_F(SummaryCacheTest, LoadRejectsStaleVersionsCleanly) {
-  namespace fs = std::filesystem;
-  fs::path File = fs::temp_directory_path() / "retypd_cache_stale.bin";
-
-  // The pre-versioning layout ("retypd-summary-cache-v1"), the textual v2
-  // format, and any future/mismatched version must be rejected wholesale —
-  // a stale cache is a cold cache, not a stream of per-entry decode
-  // failures.
-  struct StaleCase {
-    const char *Header;
-    bool ExpectStale;           ///< older than the binary
-    bool ExpectNewer;           ///< written by a newer binary
-    const char *ExpectedAdvice; ///< direction-aware message fragment
-  };
-  const StaleCase Cases[] = {
-      {"retypd-summary-cache-v1", true, false, "re-run analyze"},
-      {"retypd-summary-cache v1 schema 1", true, false, "re-run analyze"},
-      {"retypd-summary-cache v2 schema 1", true, false, "re-run analyze"},
-      // Same container version, older payload schema (the v2 inline-name
-      // payloads of schema 2 vs today's offset-based schema).
-      {"retypd-summary-cache v3 schema 2", true, false, "re-run analyze"},
-      // Files NEWER than the binary must NOT be flagged stale — a script
-      // keying off `stale` would regenerate and destroy a newer binary's
-      // valid cache.
-      {"retypd-summary-cache v999 schema 2", false, true,
-       "newer than this binary"},
-      {"retypd-summary-cache v3 schema 999", false, true,
-       "newer than this binary"},
-      {"some other file entirely", false, false, nullptr},
-  };
-  for (const StaleCase &Case : Cases) {
-    std::ofstream Out(File, std::ios::binary | std::ios::trunc);
-    Out << Case.Header << "\n"
-        << "entry 00000000000000000000000000000000 5\nhello\n";
-    Out.close();
-
-    SummaryCache Cache;
-    EXPECT_FALSE(Cache.load(File.string())) << Case.Header;
-    EXPECT_EQ(Cache.size(), 0u) << Case.Header;
-
-    CacheFileInfo Info = SummaryCache::inspectFile(File.string());
-    EXPECT_FALSE(Info.Ok) << Case.Header;
-    EXPECT_FALSE(Info.Error.empty()) << Case.Header;
-    EXPECT_EQ(Info.Stale, Case.ExpectStale) << Case.Header;
-    EXPECT_EQ(Info.Newer, Case.ExpectNewer) << Case.Header;
-    if (Case.ExpectedAdvice) {
-      EXPECT_NE(Info.Error.find(Case.ExpectedAdvice), std::string::npos)
-          << Case.Header << ": " << Info.Error;
-    }
-  }
-  fs::remove(File);
-}
-
-TEST_F(SummaryCacheTest, CorruptByteCountsAreMalformedTailNotACrash) {
-  namespace fs = std::filesystem;
-  fs::path File = fs::temp_directory_path() / "retypd_cache_corrupt.bin";
-  // Entry byte counts are untrusted: a 2^64-1 (or merely huge) count must
-  // be treated as a malformed tail by load() AND inspectFile() — not
-  // become a throwing allocation or a sign-flipped seek.
-  const char *Counts[] = {"18446744073709551615", "9223372036854775808",
-                          "999999"};
-  for (const char *Count : Counts) {
-    std::ofstream Out(File, std::ios::binary | std::ios::trunc);
-    Out << "retypd-summary-cache v" << kSummaryCacheFileVersion << " schema "
-        << kSummaryCacheSchemaVersion << "\n"
-        << "entry 0000000000000000000000000000000f " << Count << "\nx\n";
-    Out.close();
-
-    SummaryCache Cache;
-    EXPECT_TRUE(Cache.load(File.string())) << Count; // header fine
-    EXPECT_EQ(Cache.size(), 0u) << Count;            // entry dropped
-
-    CacheFileInfo Info = SummaryCache::inspectFile(File.string());
-    EXPECT_TRUE(Info.Ok) << Count;
-    EXPECT_EQ(Info.EntryCount, 0u) << Count; // agrees with load()
-    EXPECT_EQ(Info.PayloadBytes, 0u) << Count;
-  }
-  fs::remove(File);
-}
-
-TEST_F(SummaryCacheTest, PruneToBytesDropsLargestFirst) {
-  SummaryCache Cache;
-  ConstraintSet C = parse("F.in0 <= F.out");
-  auto KeyN = [&](const std::string &Name) {
-    return SummaryCache::keyFor(C, var(Name), {}, Opts, Syms, Lat);
-  };
-  Cache.insertPayload(KeyN("A"), std::string(100, 'a'));
-  Cache.insertPayload(KeyN("B"), std::string(10, 'b'));
-  Cache.insertPayload(KeyN("C"), std::string(50, 'c'));
-  EXPECT_EQ(Cache.payloadBytes(), 160u);
-
-  EXPECT_EQ(Cache.pruneToBytes(1000), 0u); // already under budget
-  EXPECT_EQ(Cache.pruneToBytes(70), 1u);   // drops the 100-byte entry
-  EXPECT_EQ(Cache.payloadBytes(), 60u);
-  EXPECT_TRUE(Cache.lookupPayload(KeyN("B")).has_value());
-  EXPECT_TRUE(Cache.lookupPayload(KeyN("C")).has_value());
-  EXPECT_EQ(Cache.pruneToBytes(0), 2u);
-  EXPECT_EQ(Cache.size(), 0u);
 }
 
 TEST_F(SummaryCacheTest, ConcurrentShardedAccessIsSafe) {
@@ -458,6 +303,30 @@ TEST_F(SummaryCacheTest, StoreBackedLookupIsZeroCopyAndCountsHits) {
   EXPECT_EQ(EventCounters::StoreHits.load(), 1u);
   EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u)
       << "mmap read path copied payload bytes";
+}
+
+TEST_F(SummaryCacheTest, FlushAndReopenPreserveEntries) {
+  TempStoreDir Dir("roundtrip");
+  TypeScheme Scheme = makeScheme("F");
+  auto K = SummaryCache::keyFor(Scheme.Constraints, var("F"), {}, Opts, Syms,
+                                Lat);
+  {
+    SummaryCache Cache;
+    ASSERT_TRUE(Cache.openStore(Dir.str()));
+    Cache.insert(K, Scheme, Syms, Lat);
+    ASSERT_TRUE(Cache.flushToStore().has_value());
+  }
+
+  SummaryCache Loaded;
+  ASSERT_TRUE(Loaded.openStore(Dir.str()));
+  EXPECT_EQ(Loaded.store()->liveEntries().size(), 1u);
+
+  // Decode into a FRESH symbol table in a fresh cache (a second process):
+  // names resolve through the store's pool, not the writer's ids.
+  SymbolTable Fresh;
+  auto Hit = Loaded.lookup(K, Fresh, Lat);
+  ASSERT_TRUE(Hit.has_value());
+  EXPECT_EQ(Hit->str(Fresh, Lat), Scheme.str(Syms, Lat));
 }
 
 TEST_F(SummaryCacheTest, PoolBindingTranslatesStoreNamesOnce) {

@@ -24,8 +24,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <vector>
 
 using namespace retypd;
@@ -240,26 +239,19 @@ TEST(GenCacheTest, CorruptGenEntriesSelfHeal) {
   // Corrupt every payload IN PLACE, under its real key: the next run's
   // probes must find the corrupt bytes, reject them (counted as misses),
   // drop the entries, recompute, and overwrite — and still produce the
-  // right report. Keys are not enumerable through the public API, so
-  // recover them from the persisted file format ("entry <32 hex> <len>"
-  // lines, documented stable for v3).
-  std::string Path = ::testing::TempDir() + "gencache-corrupt.bin";
-  ASSERT_TRUE(Cache.save(Path));
+  // right report. Keys are not enumerable through the cache itself, so
+  // journal it into a temp store and list the store's live keys; the
+  // store is detached again so the corrupt in-memory bytes are what the
+  // next run probes.
+  std::string Dir = ::testing::TempDir() + "gencache-corrupt-store";
+  std::filesystem::remove_all(Dir);
+  ASSERT_TRUE(Cache.openStore(Dir));
+  ASSERT_TRUE(Cache.flushToStore().has_value());
   std::vector<SummaryKey> Keys;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    std::string Line;
-    ASSERT_TRUE(std::getline(In, Line)); // header
-    while (std::getline(In, Line)) {
-      unsigned long long Hi = 0, Lo = 0, Bytes = 0;
-      if (std::sscanf(Line.c_str(), "entry %16llx%16llx %llu", &Hi, &Lo,
-                      &Bytes) != 3)
-        continue;
-      Keys.push_back(SummaryKey{Hi, Lo});
-      In.ignore(static_cast<std::streamsize>(Bytes) + 1);
-    }
-  }
-  std::remove(Path.c_str());
+  for (const auto &[K, Bytes] : Cache.store()->liveEntries())
+    Keys.push_back(K);
+  Cache.attachStore(nullptr);
+  std::filesystem::remove_all(Dir);
   ASSERT_EQ(Keys.size(), Cache.size());
   for (const SummaryKey &K : Keys)
     Cache.insertPayload(K, "corrupt");
@@ -278,20 +270,23 @@ TEST(GenCacheTest, CorruptGenEntriesSelfHeal) {
   EXPECT_EQ(Third.Report, Fresh.Report);
 }
 
-TEST(GenCacheTest, GenEntriesPersistAcrossSaveAndLoad) {
-  // Gen payloads share the summary-cache file format: a cache persisted
-  // after one process's run makes the next process's generation warm.
-  std::string Path = ::testing::TempDir() + "gencache-persist.bin";
+TEST(GenCacheTest, GenEntriesPersistAcrossStoreProcesses) {
+  // Gen payloads share the artifact store with schemes and solutions: a
+  // store flushed after one process's run makes the next process's
+  // generation warm.
+  std::string Dir = ::testing::TempDir() + "gencache-persist-store";
+  std::filesystem::remove_all(Dir);
   {
     SummaryCache Cache;
+    ASSERT_TRUE(Cache.openStore(Dir));
     run(kTwoLeaves, &Cache);
-    ASSERT_TRUE(Cache.save(Path));
+    ASSERT_TRUE(Cache.flushToStore().has_value());
   }
   SummaryCache Reloaded;
-  ASSERT_TRUE(Reloaded.load(Path));
+  ASSERT_TRUE(Reloaded.openStore(Dir));
   RunOut Warm = run(kTwoLeaves, &Reloaded);
   EXPECT_GT(Warm.Stats.GenCacheHits, 0u);
   EXPECT_EQ(Warm.Stats.GenCacheMisses, 0u);
   EXPECT_EQ(Warm.Report, run(kTwoLeaves, nullptr).Report);
-  std::remove(Path.c_str());
+  std::filesystem::remove_all(Dir);
 }

@@ -6,7 +6,7 @@
 // cache-replayed runs must produce byte-identical reports to `--jobs 1`.
 //
 // To add a golden test: drop prog.asm into tests/frontend/golden/, run
-//   build/retypd-cli --schemes tests/frontend/golden/prog.asm
+//   build/retypd-cli analyze --schemes tests/frontend/golden/prog.asm
 // redirecting stdout to tests/frontend/golden/prog.expected, and review
 // the diff like any other code change.
 //
@@ -57,7 +57,7 @@ Module parseProgram(const fs::path &P) {
   return M ? *M : Module();
 }
 
-/// Renders the exact bytes `retypd-cli --schemes` would print.
+/// Renders the exact bytes `retypd-cli analyze --schemes` would print.
 std::string runReport(const fs::path &P, unsigned Jobs,
                       SummaryCache *Cache = nullptr) {
   Module M = parseProgram(P);
@@ -85,7 +85,8 @@ TEST(GoldenTest, MatchesExpectedReports) {
     fs::path Expected = P;
     Expected.replace_extension(".expected");
     ASSERT_TRUE(fs::exists(Expected))
-        << Expected << " missing — regenerate with retypd-cli --schemes";
+        << Expected
+        << " missing — regenerate with retypd-cli analyze --schemes";
     EXPECT_EQ(runReport(P, 1), slurp(Expected)) << "golden diff: " << P;
   }
 }
@@ -121,42 +122,21 @@ TEST(GoldenTest, CacheReplayIsByteIdentical) {
   }
 }
 
-TEST(GoldenTest, CachePersistsAcrossProcessesViaFile) {
-  fs::path File = fs::temp_directory_path() / "retypd_golden_cache.bin";
-  fs::remove(File);
-  const fs::path P = corpus().front();
-  {
-    SummaryCache Cache;
-    runReport(P, 1, &Cache);
-    ASSERT_TRUE(Cache.save(File.string()));
-  }
-  SummaryCache Reloaded;
-  ASSERT_TRUE(Reloaded.load(File.string()));
-  EXPECT_GT(Reloaded.size(), 0u);
-  std::string FromDisk = runReport(P, 1, &Reloaded);
-  EXPECT_EQ(FromDisk, runReport(P, 1));
-  EXPECT_GT(Reloaded.hits(), 0u);
-  fs::remove(File);
-}
-
-TEST(GoldenTest, StoreWarmMatchesLegacyFileAndFreshRuns) {
-  // The three persistence paths must be indistinguishable in output:
-  // a fresh run, a warm run over the legacy v3 single-file cache, and a
-  // warm run over the mmap-backed artifact store — and the store path
-  // must be parse-free and copy-free (the zero-copy invariant).
+TEST(GoldenTest, StoreWarmMatchesFreshRuns) {
+  // A warm run over the mmap-backed artifact store, in a fresh cache (a
+  // second process), must be indistinguishable in output from a fresh
+  // run — and parse-free and copy-free (the zero-copy invariant).
   fs::path Dir = fs::temp_directory_path() / "retypd_golden_store";
-  fs::path File = fs::temp_directory_path() / "retypd_golden_legacy.bin";
   fs::remove_all(Dir);
-  fs::remove(File);
   const fs::path P = corpus().front();
   std::string Fresh = runReport(P, 1);
 
-  // One cold run populates both the store and the legacy file.
+  // One cold run populates the store.
   {
     SummaryCache Cache;
     ASSERT_TRUE(Cache.openStore(Dir.string()));
     EXPECT_EQ(runReport(P, 1, &Cache), Fresh);
-    ASSERT_TRUE(Cache.save(File.string()));
+    ASSERT_TRUE(Cache.flushToStore().has_value());
   }
 
   // Store-backed warm run from an empty in-memory cache: every probe is
@@ -173,16 +153,7 @@ TEST(GoldenTest, StoreWarmMatchesLegacyFileAndFreshRuns) {
     EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u)
         << "store warm run copied payload bytes";
   }
-
-  // Legacy-file warm run: byte-identical too (store vs legacy vs fresh).
-  {
-    SummaryCache Legacy;
-    ASSERT_TRUE(Legacy.load(File.string()));
-    EXPECT_EQ(runReport(P, 1, &Legacy), Fresh) << "legacy warm run diverged";
-    EXPECT_EQ(Legacy.misses(), 0u);
-  }
   fs::remove_all(Dir);
-  fs::remove(File);
 }
 
 TEST(GoldenTest, VerifyFullIsByteIdenticalAndClean) {

@@ -3,18 +3,23 @@
 // Drives the installed retypd-cli binary (path injected by CMake as
 // RETYPD_CLI_PATH) through its subcommand surface: unknown-option
 // rejection with "did you mean" hints and exit code 2, reanalyze's
-// byte-identity with a fresh analyze, JSON output, and the cache
-// inspect/prune verbs.
+// byte-identity with a fresh analyze, JSON output, and the cache verbs on
+// artifact store directories.
 //
 //===----------------------------------------------------------------------===//
 
+#include "core/SummaryCache.h"
+#include "store/Store.h"
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 namespace fs = std::filesystem;
 
@@ -64,14 +69,13 @@ std::string slurpFile(const fs::path &P) {
 } // namespace
 
 TEST(CliTest, UnknownOptionExitsTwoWithSuggestion) {
-  CmdResult R = runCli("--schmes " + goldenAsm("list_traverse.asm"));
+  CmdResult R = runCli("analyze --schmes " + goldenAsm("list_traverse.asm"));
   EXPECT_EQ(R.Exit, 2);
   EXPECT_NE(R.Out.find("unknown option '--schmes'"), std::string::npos)
       << R.Out;
   EXPECT_NE(R.Out.find("did you mean '--schemes'?"), std::string::npos)
       << R.Out;
 
-  // Subcommand spelling gets the same treatment.
   R = runCli("analyze --jbos 2 " + goldenAsm("list_traverse.asm"));
   EXPECT_EQ(R.Exit, 2);
   EXPECT_NE(R.Out.find("did you mean '--jobs'?"), std::string::npos) << R.Out;
@@ -83,11 +87,38 @@ TEST(CliTest, UnknownCommandSuggestion) {
   EXPECT_NE(R.Out.find("did you mean 'analyze'?"), std::string::npos) << R.Out;
 }
 
-TEST(CliTest, LegacyInvocationStillMeansAnalyze) {
-  CmdResult Legacy = runCli("--schemes " + goldenAsm("list_traverse.asm"));
-  CmdResult Sub = runCli("analyze --schemes " + goldenAsm("list_traverse.asm"));
-  EXPECT_EQ(Legacy.Exit, 0);
-  EXPECT_EQ(Legacy.Out, Sub.Out);
+TEST(CliTest, FirstArgumentMustBeACommand) {
+  // An input path or a flag in command position is not an implicit
+  // `analyze`: it exits 2 and points at the command spelling.
+  for (std::string Args : {goldenAsm("list_traverse.asm"),
+                           "--schemes " + goldenAsm("list_traverse.asm")}) {
+    CmdResult R = runCli(Args);
+    EXPECT_EQ(R.Exit, 2) << Args;
+    EXPECT_NE(R.Out.find("unknown command"), std::string::npos) << R.Out;
+    EXPECT_NE(R.Out.find("retypd-cli analyze"), std::string::npos) << R.Out;
+    EXPECT_EQ(R.Out.find("prototype"), std::string::npos)
+        << "nothing may be analyzed: " << R.Out;
+  }
+}
+
+TEST(CliTest, SummaryCacheFlagExitsTwoNamingStore) {
+  // The whole-file cache format is gone; both spellings of its flag are
+  // usage errors that name the store, and nothing is written at the path.
+  fs::path File = fs::temp_directory_path() / "cli_removed_cache.bin";
+  fs::remove(File);
+  for (std::string Args :
+       {"analyze --summary-cache " + File.string() + " " +
+            goldenAsm("list_traverse.asm"),
+        "analyze --summary-cache=" + File.string() + " " +
+            goldenAsm("list_traverse.asm"),
+        "reanalyze --summary-cache " + File.string() + " " +
+            goldenAsm("list_traverse.asm") + " " +
+            goldenAsm("list_traverse.asm")}) {
+    CmdResult R = runCli(Args);
+    EXPECT_EQ(R.Exit, 2) << Args << "\n" << R.Out;
+    EXPECT_NE(R.Out.find("--store DIR"), std::string::npos) << R.Out;
+  }
+  EXPECT_FALSE(fs::exists(File));
 }
 
 TEST(CliTest, ReanalyzeIsByteIdenticalToFreshAnalyze) {
@@ -149,64 +180,73 @@ TEST(CliTest, JsonFormat) {
   EXPECT_EQ(R.Exit, 2);
 }
 
-TEST(CliTest, CacheInspectAndPrune) {
-  fs::path Cache = fs::temp_directory_path() / "cli_cache.bin";
-  fs::remove(Cache);
+TEST(CliTest, CacheVerbsRejectNonDirectories) {
+  // Every cache verb works on an artifact store directory: a regular file
+  // and a missing path are usage errors, and the file is left untouched.
+  fs::path File = writeTemp("cli_cache_verb_file.bin", "not a store\n");
+  fs::path Missing = fs::temp_directory_path() / "cli_cache_verb_missing";
+  fs::remove_all(Missing);
+  for (const fs::path &Path : {File, Missing})
+    for (const char *Verb :
+         {"inspect ", "prune --max-bytes 0 ", "compact ", "verify "}) {
+      CmdResult R = runCli("cache " + std::string(Verb) + Path.string());
+      EXPECT_EQ(R.Exit, 2) << Verb << Path << "\n" << R.Out;
+      EXPECT_NE(R.Out.find("expects an artifact store directory"),
+                std::string::npos)
+          << Verb << Path << "\n" << R.Out;
+    }
+  EXPECT_EQ(slurpFile(File), "not a store\n");
+  EXPECT_FALSE(fs::exists(Missing)) << "a cache verb created the path";
+  fs::remove(File);
+}
 
-  CmdResult R = runCli("analyze --summary-cache " + Cache.string() + " " +
+TEST(CliTest, CacheActionTypoSuggestion) {
+  fs::path Dir = fs::temp_directory_path() / "cli_store_typo";
+  fs::remove_all(Dir);
+  CmdResult R = runCli("analyze --store " + Dir.string() + " " +
                        goldenAsm("list_traverse.asm"));
-  EXPECT_EQ(R.Exit, 0);
-
-  R = runCli("cache inspect " + Cache.string());
-  EXPECT_EQ(R.Exit, 0);
-  EXPECT_NE(R.Out.find("header: ok (v3 schema 3)"), std::string::npos)
-      << R.Out;
-  EXPECT_NE(R.Out.find("codec: binary scheme payload v3"), std::string::npos)
-      << R.Out;
-  // Per-shard entry counts are part of the report.
-  EXPECT_NE(R.Out.find("shard entries: 0:"), std::string::npos) << R.Out;
-
-  R = runCli("cache prune " + Cache.string() + " --max-bytes 0");
-  EXPECT_EQ(R.Exit, 0);
-  EXPECT_NE(R.Out.find("0 remain"), std::string::npos) << R.Out;
-
-  // Stale-but-recognized formats (the textual v2 of earlier builds, the
-  // unversioned v1) get an actionable message, not a generic failure.
-  fs::path StaleV2 = writeTemp("cli_stale_cache_v2.bin",
-                               "retypd-summary-cache v2 schema 1\n"
-                               "entry 00000000000000000000000000000000 2\n"
-                               "xx\n");
-  R = runCli("cache inspect " + StaleV2.string());
-  EXPECT_EQ(R.Exit, 1);
-  EXPECT_NE(R.Out.find("re-run analyze to regenerate"), std::string::npos)
-      << R.Out;
-  R = runCli("cache prune " + StaleV2.string() + " --max-bytes 0");
-  EXPECT_EQ(R.Exit, 1);
-  EXPECT_NE(R.Out.find("re-run analyze to regenerate"), std::string::npos)
-      << R.Out;
-
-  fs::path Stale = writeTemp("cli_stale_cache.bin",
-                             "retypd-summary-cache-v1\nentry junk\n");
-  R = runCli("cache inspect " + Stale.string());
-  EXPECT_EQ(R.Exit, 1);
-  EXPECT_NE(R.Out.find("re-run analyze to regenerate"), std::string::npos)
-      << R.Out;
-
-  // A file that is not a cache at all stays a plain unrecognized-header
-  // error.
-  fs::path NotACache = writeTemp("cli_not_cache.bin", "hello world\n");
-  R = runCli("cache inspect " + NotACache.string());
-  EXPECT_EQ(R.Exit, 1);
-  EXPECT_NE(R.Out.find("unrecognized header"), std::string::npos) << R.Out;
-
-  R = runCli("cache inspct " + Cache.string());
+  ASSERT_EQ(R.Exit, 0) << R.Out;
+  R = runCli("cache inspct " + Dir.string());
   EXPECT_EQ(R.Exit, 2);
   EXPECT_NE(R.Out.find("did you mean 'inspect'?"), std::string::npos) << R.Out;
+  fs::remove_all(Dir);
+}
 
-  fs::remove(Cache);
-  fs::remove(StaleV2);
-  fs::remove(Stale);
-  fs::remove(NotACache);
+TEST(CliTest, StorePruneDropsLargestFirstKeyOrderOnTies) {
+  // Four raw payloads: 100, 50, 50 and 10 bytes (210 total). A 60-byte
+  // budget drops the 100-byte entry, then the lower-keyed of the two
+  // 50-byte entries, and keeps the rest.
+  fs::path Dir = fs::temp_directory_path() / "cli_store_prune_policy";
+  fs::remove_all(Dir);
+  const retypd::Hash128 Big{0, 4}, TieHigh{0, 2}, TieLow{0, 1}, Small{0, 3};
+  retypd::StoreOptions SO;
+  SO.SchemaVersion = retypd::kSummaryCacheSchemaVersion;
+  SO.Fsync = false;
+  {
+    auto S = retypd::Store::open(Dir.string(), SO);
+    ASSERT_TRUE(S);
+    S->append(Big, std::string(100, 'a'));
+    S->append(TieHigh, std::string(50, 'b'));
+    S->append(TieLow, std::string(50, 'c'));
+    S->append(Small, std::string(10, 'd'));
+    ASSERT_TRUE(S->flush());
+  }
+
+  CmdResult R = runCli("cache prune " + Dir.string() + " --max-bytes 60");
+  EXPECT_EQ(R.Exit, 0) << R.Out;
+  EXPECT_NE(R.Out.find("pruned 2 of 4 entries; 2 remain (60 payload bytes)"),
+            std::string::npos)
+      << R.Out;
+
+  auto S = retypd::Store::open(Dir.string(), SO);
+  ASSERT_TRUE(S);
+  std::vector<retypd::Hash128> Survivors;
+  for (const auto &[K, Bytes] : S->liveEntries())
+    Survivors.push_back(K);
+  std::sort(Survivors.begin(), Survivors.end());
+  EXPECT_EQ(Survivors, (std::vector<retypd::Hash128>{TieHigh, Small}));
+  S.reset();
+  fs::remove_all(Dir);
 }
 
 TEST(CliTest, HelpExitsZero) {
@@ -263,14 +303,6 @@ TEST(CliTest, StoreAnalyzeWarmInspectCompact) {
   R = runCli("cache prune " + Dir.string() + " --max-bytes 0");
   EXPECT_EQ(R.Exit, 0) << R.Out;
   EXPECT_NE(R.Out.find("0 remain"), std::string::npos) << R.Out;
-
-  // compact on a FILE is rejected with guidance.
-  fs::path File = writeTemp("cli_store_file.bin", "not a dir");
-  R = runCli("cache compact " + File.string());
-  EXPECT_EQ(R.Exit, 2);
-  EXPECT_NE(R.Out.find("artifact store directory"), std::string::npos)
-      << R.Out;
-  fs::remove(File);
 
   // Mutating verbs on a directory with unrelated contents (a mistyped
   // path) refuse without polluting it with a fresh MANIFEST/LOCK/segment.

@@ -9,9 +9,8 @@
 //                                          re-analyze the edited module;
 //                                          output is byte-identical to
 //                                          `analyze new.asm`
-//   retypd-cli cache inspect PATH          summary-cache file or artifact
-//                                          store directory info
-//   retypd-cli cache prune PATH --max-bytes N   drop largest entries
+//   retypd-cli cache inspect DIR           artifact store directory info
+//   retypd-cli cache prune DIR --max-bytes N    drop largest entries
 //   retypd-cli cache compact DIR           fold an artifact store's dead
 //                                          records into a fresh segment
 //   retypd-cli cache verify DIR            offline fsck of an artifact
@@ -21,9 +20,9 @@
 //                                          liveness reconciliation
 //   retypd-cli help [command]
 //
-// `retypd-cli [options] prog.asm` (no subcommand) still works and means
-// `analyze`. Unknown options are rejected with a "did you mean" hint and
-// exit code 2.
+// The first argument must be a command. Unknown commands and options are
+// rejected with a "did you mean" hint and exit code 2, as is any `cache`
+// verb whose path is not a directory.
 //
 // analyze/reanalyze options:
 //   --schemes --sketches         verbose per-function output
@@ -33,17 +32,15 @@
 //   --jobs N                     solve SCC waves on N threads (0 = one
 //                                per hardware core); output is
 //                                byte-identical for every N
-//   --summary-cache FILE         persist the content-addressed scheme
-//                                cache across runs (whole-file rewrite;
-//                                the legacy import/export path)
-//   --store DIR                  share a durable multi-process artifact
+//   --store DIR                  persist the content-addressed scheme
+//                                cache in a durable multi-process artifact
 //                                store: appends are journaled, reads are
 //                                zero-copy out of mmapped segments
 //   --format=text|json           report rendering
 //   --backend=retypd|binsub      solver backend: the paper's saturation
 //                                pipeline (default) or BinSub-style
 //                                algebraic subtyping; artifacts are
-//                                backend-keyed in caches and stores
+//                                backend-keyed in the store
 //   --verify=off|phase|full      formation-rule checks at phase
 //                                boundaries (phase) and additionally on
 //                                cache/store-replayed artifacts (full);
@@ -156,9 +153,8 @@ int usage(FILE *Out = stderr) {
       "  reanalyze [options] base.asm new.asm   incremental re-analysis of an\n"
       "                                         edited module (same output as\n"
       "                                         'analyze new.asm')\n"
-      "  cache inspect PATH                     summary-cache file or store\n"
-      "                                         directory info\n"
-      "  cache prune PATH --max-bytes N         shrink a cache file / store\n"
+      "  cache inspect DIR                      artifact store info\n"
+      "  cache prune DIR --max-bytes N          shrink a store\n"
       "  cache compact DIR                      reclaim a store's dead bytes\n"
       "  cache verify DIR                       offline fsck of a store:\n"
       "                                         every violation named by\n"
@@ -166,12 +162,10 @@ int usage(FILE *Out = stderr) {
       "  help [command]                         this text\n"
       "\n"
       "analyze/reanalyze options:\n"
-      "  --schemes --sketches --stats --jobs N --summary-cache FILE\n"
-      "  --store DIR --format=text|json --verify=off|phase|full\n"
+      "  --schemes --sketches --stats --jobs N --store DIR\n"
+      "  --format=text|json --verify=off|phase|full\n"
       "  --backend=retypd|binsub --trace FILE --profile[=N]\n"
-      "analyze only: --strip --engine=retypd|unify|interval\n"
-      "\n"
-      "'retypd-cli [options] prog.asm' without a command means 'analyze'.\n");
+      "analyze only: --strip --engine=retypd|unify|interval\n");
   return 2;
 }
 
@@ -204,7 +198,6 @@ struct AnalyzeOpts {
   VerifyLevel Verify = VerifyLevel::Off;
   BackendKind Backend = BackendKind::Retypd;
   std::string Engine = "retypd";
-  std::string CachePath;
   std::string StoreDir;
   std::string TracePath;
   std::string Format = "text";
@@ -212,13 +205,12 @@ struct AnalyzeOpts {
 };
 
 const std::vector<std::string> kAnalyzeFlags = {
-    "--schemes", "--sketches",      "--strip",   "--stats",  "--jobs",
-    "--summary-cache", "--store", "--engine=", "--format=", "--verify=",
-    "--backend=", "--trace", "--profile"};
+    "--schemes", "--sketches", "--strip",    "--stats",
+    "--jobs",    "--store",    "--engine=",  "--format=",
+    "--verify=", "--backend=", "--trace",    "--profile"};
 const std::vector<std::string> kReanalyzeFlags = {
-    "--schemes", "--sketches", "--stats", "--jobs",
-    "--summary-cache", "--store", "--format=", "--verify=", "--backend=",
-    "--trace", "--profile"};
+    "--schemes", "--sketches", "--stats",    "--jobs",  "--store",
+    "--format=", "--verify=",  "--backend=", "--trace", "--profile"};
 
 /// Parses analyze/reanalyze arguments from argv[Start..). Returns 0 on
 /// success, 2 on a usage error (already reported).
@@ -234,8 +226,15 @@ int parseAnalyzeArgs(int argc, char **argv, int Start, const char *Command,
       O.Strip = true;
     else if (Arg == "--stats")
       O.Stats = true;
-    else if (Arg == "--jobs" || Arg == "--summary-cache" ||
-             Arg == "--store" || Arg == "--trace") {
+    else if (Arg == "--summary-cache" ||
+             Arg.rfind("--summary-cache=", 0) == 0) {
+      // The whole-file cache format is gone; the store is the one way a
+      // scheme reaches disk.
+      std::fprintf(stderr,
+                   "error: '--summary-cache' has been removed; persist "
+                   "schemes with '--store DIR' instead\n");
+      return 2;
+    } else if (Arg == "--jobs" || Arg == "--store" || Arg == "--trace") {
       if (I + 1 >= argc) {
         std::fprintf(stderr, "error: option '%s' requires a value\n",
                      Arg.c_str());
@@ -244,18 +243,14 @@ int parseAnalyzeArgs(int argc, char **argv, int Start, const char *Command,
       if (Arg == "--jobs") {
         if (!parseJobs(argv[++I], O.Jobs))
           return 2;
-      } else if (Arg == "--summary-cache")
-        O.CachePath = argv[++I];
-      else if (Arg == "--trace")
+      } else if (Arg == "--trace")
         O.TracePath = argv[++I];
       else
         O.StoreDir = argv[++I];
     } else if (Arg.rfind("--jobs=", 0) == 0) {
       if (!parseJobs(Arg.c_str() + 7, O.Jobs))
         return 2;
-    } else if (Arg.rfind("--summary-cache=", 0) == 0)
-      O.CachePath = Arg.substr(16);
-    else if (Arg.rfind("--store=", 0) == 0)
+    } else if (Arg.rfind("--store=", 0) == 0)
       O.StoreDir = Arg.substr(8);
     else if (Arg.rfind("--trace=", 0) == 0)
       O.TracePath = Arg.substr(8);
@@ -524,7 +519,7 @@ int runBaseline(Module &M, const std::string &Engine) {
 SessionOptions sessionOptsFor(const AnalyzeOpts &O, bool Incremental) {
   SessionOptions SO;
   SO.Jobs = O.Jobs;
-  SO.UseSummaryCache = !O.CachePath.empty() || !O.StoreDir.empty();
+  SO.UseSummaryCache = !O.StoreDir.empty();
   SO.StoreDir = O.StoreDir;
   SO.Verify = O.Verify;
   SO.Backend = O.Backend;
@@ -564,18 +559,6 @@ void warnStoreFlush(AnalysisSession &S, const AnalyzeOpts &O) {
   if (!O.StoreDir.empty() && !S.storeError().empty())
     std::fprintf(stderr, "warning: cannot flush artifact store %s: %s\n",
                  O.StoreDir.c_str(), S.storeError().c_str());
-}
-
-void loadCacheIfAsked(AnalysisSession &S, const AnalyzeOpts &O) {
-  if (!O.CachePath.empty())
-    S.summaryCache().load(O.CachePath); // a missing file is just a cold cache
-}
-
-int saveCacheIfAsked(AnalysisSession &S, const AnalyzeOpts &O) {
-  if (!O.CachePath.empty() && !S.summaryCache().save(O.CachePath))
-    std::fprintf(stderr, "warning: cannot write summary cache %s\n",
-                 O.CachePath.c_str());
-  return 0;
 }
 
 int cmdAnalyze(int argc, char **argv, int Start, const char *Command) {
@@ -625,11 +608,9 @@ int cmdAnalyze(int argc, char **argv, int Start, const char *Command) {
   TraceRun T;
   if (int Rc = beginTrace(O, T))
     return Rc;
-  loadCacheIfAsked(S, O);
   S.loadModule(std::move(*M));
   S.analyze();
   warnStoreFlush(S, O);
-  saveCacheIfAsked(S, O);
   if (int Rc = endTrace(O, T))
     return Rc;
   printReport(S, O, T.ProfileJson);
@@ -664,13 +645,11 @@ int cmdReanalyze(int argc, char **argv, int Start) {
   TraceRun T;
   if (int Rc = beginTrace(O, T))
     return Rc;
-  loadCacheIfAsked(S, O);
   S.loadModule(std::move(*Base));
   S.analyze();
   S.updateModule(std::move(*Edited));
   S.analyze();
   warnStoreFlush(S, O);
-  saveCacheIfAsked(S, O);
   if (int Rc = endTrace(O, T))
     return Rc;
   printReport(S, O, T.ProfileJson);
@@ -683,10 +662,10 @@ int cmdReanalyze(int argc, char **argv, int Start) {
 
 /// `cache inspect` on an artifact-store directory: per-segment record
 /// counts, live/dead bytes, and the MANIFEST generation. Stale or newer
-/// stores get the same actionable message as stale cache files.
+/// stores get a direction-aware message (regenerate vs. upgrade).
 int storeInspect(const std::string &Dir, const std::string &Format) {
-  // An absent or empty directory is the pre-first-analyze state, not an
-  // error: report a clean zero-state and leave the directory untouched.
+  // An empty directory is the pre-first-analyze state, not an error:
+  // report a clean zero-state and leave the directory untouched.
   bool Empty = Store::isUninitializedDir(Dir);
   StoreInfo Info;
   if (Empty)
@@ -859,8 +838,8 @@ int storePrune(const std::string &Dir, size_t MaxBytes,
   auto S = openStoreForVerb(Dir);
   if (!S)
     return 1;
-  // Same victim policy as SummaryCache::pruneToBytes: largest payloads
-  // first, key order on ties, until the payload total fits.
+  // Deterministic victim policy: largest payloads first, key order on
+  // ties, until the payload total fits.
   auto Entries = S->liveEntries();
   size_t Before = Entries.size(), Total = 0;
   for (const auto &E : Entries)
@@ -986,8 +965,7 @@ int cmdCache(int argc, char **argv, int Start) {
     return usage();
   }
   std::string Action = argv[Start];
-  if (Action != "inspect" && Action != "prune" && Action != "compact" &&
-      Action != "verify") {
+  if (std::find(Actions.begin(), Actions.end(), Action) == Actions.end()) {
     std::string Hint = suggestFor(Action, Actions);
     if (!Hint.empty())
       std::fprintf(stderr,
@@ -999,7 +977,7 @@ int cmdCache(int argc, char **argv, int Start) {
     return 2;
   }
 
-  std::string File, Format = "text";
+  std::string Dir, Format = "text";
   size_t MaxBytes = 0;
   bool HaveMaxBytes = false;
   const std::vector<std::string> kCacheFlags = {"--max-bytes", "--format="};
@@ -1039,117 +1017,35 @@ int cmdCache(int argc, char **argv, int Start) {
       }
     } else if (!Arg.empty() && Arg[0] == '-')
       return unknownOption("cache", Arg, kCacheFlags);
-    else if (File.empty())
-      File = Arg;
+    else if (Dir.empty())
+      Dir = Arg;
     else {
-      std::fprintf(stderr, "error: 'cache %s' expects one file, got '%s'\n",
+      std::fprintf(stderr,
+                   "error: 'cache %s' expects one store directory, got '%s'\n",
                    Action.c_str(), Arg.c_str());
       return usage();
     }
   }
-  if (File.empty()) {
-    std::fprintf(stderr, "error: 'cache %s' expects a cache file or store\n",
-                 Action.c_str());
-    return usage();
-  }
-
-  // Directories are artifact stores; plain paths are legacy cache files.
-  if (Store::looksLikeStoreDir(File)) {
-    if (Action == "inspect")
-      return storeInspect(File, Format);
-    if (Action == "compact")
-      return storeCompact(File, Format);
-    if (Action == "verify")
-      return storeVerify(File, Format);
-    if (!HaveMaxBytes) {
-      std::fprintf(stderr, "error: 'cache prune' requires --max-bytes N\n");
-      return usage();
-    }
-    return storePrune(File, MaxBytes, Format);
-  }
-  if (Action == "compact" || Action == "verify") {
+  // A missing argument, a regular file and a missing path are all usage
+  // errors: every cache verb works on an artifact store directory.
+  std::error_code EC;
+  if (Dir.empty() || !std::filesystem::is_directory(Dir, EC)) {
     std::fprintf(stderr,
                  "error: 'cache %s' expects an artifact store directory\n",
                  Action.c_str());
     return 2;
   }
-
-  if (Action == "inspect") {
-    CacheFileInfo Info = SummaryCache::inspectFile(File);
-    if (Format == "json") {
-      std::string ShardJson = "[";
-      for (size_t I = 0; I < Info.ShardEntryCounts.size(); ++I) {
-        if (I)
-          ShardJson += ", ";
-        ShardJson += std::to_string(Info.ShardEntryCounts[I]);
-      }
-      ShardJson += "]";
-      std::printf("{\"file\": \"%s\", \"ok\": %s, \"stale\": %s, "
-                  "\"newer_than_binary\": %s, "
-                  "\"file_version\": %u, \"schema_version\": %u, "
-                  "\"codec_version\": %u, \"entries\": %zu, "
-                  "\"payload_bytes\": %zu, \"shard_entries\": %s, "
-                  "\"error\": \"%s\"}\n",
-                  jsonEscape(File).c_str(), Info.Ok ? "true" : "false",
-                  Info.Stale ? "true" : "false",
-                  Info.Newer ? "true" : "false", Info.FileVersion,
-                  Info.SchemaVersion, kSchemePayloadVersion, Info.EntryCount,
-                  Info.PayloadBytes, ShardJson.c_str(),
-                  jsonEscape(Info.Error).c_str());
-    } else {
-      std::printf("file: %s\n", File.c_str());
-      if (Info.Ok) {
-        std::printf("header: ok (v%u schema %u)\n", Info.FileVersion,
-                    Info.SchemaVersion);
-        std::printf("codec: binary scheme payload v%u\n",
-                    kSchemePayloadVersion);
-        std::printf("entries: %zu\npayload bytes: %zu\n", Info.EntryCount,
-                    Info.PayloadBytes);
-        std::printf("shard entries:");
-        for (size_t I = 0; I < Info.ShardEntryCounts.size(); ++I)
-          std::printf(" %zu:%zu", I, Info.ShardEntryCounts[I]);
-        std::printf("\n");
-      } else {
-        std::printf("header: %s\n", Info.Error.c_str());
-      }
-    }
-    return Info.Ok ? 0 : 1;
-  }
-
-  // prune
+  if (Action == "inspect")
+    return storeInspect(Dir, Format);
+  if (Action == "compact")
+    return storeCompact(Dir, Format);
+  if (Action == "verify")
+    return storeVerify(Dir, Format);
   if (!HaveMaxBytes) {
     std::fprintf(stderr, "error: 'cache prune' requires --max-bytes N\n");
     return usage();
   }
-  SummaryCache Cache;
-  if (!Cache.load(File)) {
-    // Distinguish version mismatches (with direction-aware advice) from
-    // genuinely unreadable files.
-    CacheFileInfo Info = SummaryCache::inspectFile(File);
-    if (Info.Stale || Info.Newer)
-      std::fprintf(stderr, "error: cannot load %s: %s\n", File.c_str(),
-                   Info.Error.c_str());
-    else
-      std::fprintf(stderr,
-                   "error: cannot load %s (missing or unrecognized file)\n",
-                   File.c_str());
-    return 1;
-  }
-  size_t Before = Cache.size();
-  size_t Dropped = Cache.pruneToBytes(MaxBytes);
-  if (!Cache.save(File)) {
-    std::fprintf(stderr, "error: cannot write %s\n", File.c_str());
-    return 1;
-  }
-  if (Format == "json")
-    std::printf("{\"file\": \"%s\", \"pruned\": %zu, \"before\": %zu, "
-                "\"remaining\": %zu, \"payload_bytes\": %zu}\n",
-                jsonEscape(File).c_str(), Dropped, Before, Cache.size(),
-                Cache.payloadBytes());
-  else
-    std::printf("pruned %zu of %zu entries; %zu remain (%zu payload bytes)\n",
-                Dropped, Before, Cache.size(), Cache.payloadBytes());
-  return 0;
+  return storePrune(Dir, MaxBytes, Format);
 }
 
 } // namespace
@@ -1173,19 +1069,19 @@ int main(int argc, char **argv) {
   if (First == "cache")
     return cmdCache(argc, argv, 2);
 
-  // A near-miss of a command name is more likely a typo than a legacy
-  // no-subcommand invocation; everything else falls through to the legacy
-  // `analyze` spelling (flags and one path, in any order).
-  if (!First.empty() && First[0] != '-') {
-    std::string Hint = suggestFor(First, Commands);
-    bool LooksLikePath = First.find('.') != std::string::npos ||
-                         First.find('/') != std::string::npos;
-    if (!Hint.empty() && !LooksLikePath) {
-      std::fprintf(stderr,
-                   "error: unknown command '%s' — did you mean '%s'?\n",
-                   First.c_str(), Hint.c_str());
-      return 2;
-    }
-  }
-  return cmdAnalyze(argc, argv, 1, "analyze");
+  // A near-miss of a command name gets a hint; anything else (a path, a
+  // flag) is most likely the removed no-subcommand spelling of analyze.
+  std::string Hint = suggestFor(First, Commands);
+  bool LooksLikePath = First.find('.') != std::string::npos ||
+                       First.find('/') != std::string::npos;
+  if (!Hint.empty() && !LooksLikePath)
+    std::fprintf(stderr, "error: unknown command '%s' — did you mean '%s'?\n",
+                 First.c_str(), Hint.c_str());
+  else
+    std::fprintf(stderr,
+                 "error: unknown command '%s' — to infer types, run "
+                 "'retypd-cli analyze [options] prog.asm'\n",
+                 First.c_str());
+  std::fprintf(stderr, "run 'retypd-cli help' for usage\n");
+  return 2;
 }

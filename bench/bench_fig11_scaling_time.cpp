@@ -138,7 +138,7 @@ int main(int argc, char **argv) {
     // exception (min of 2, each against a FRESH cache: a cold run is
     // only cold once).
     TypeReport SeqReport, Par4Report;
-    PhaseTimes::reset();
+    RunMetrics::process().reset();
     double Seq = timedRun(P, Lat, 1, nullptr, &SeqReport);
     auto SeqPhases = PhaseTimes::snapshot();
     double Par4 = timedRun(P, Lat, 4, nullptr, &Par4Report);

@@ -129,8 +129,7 @@ int main(int argc, char **argv) {
   uint64_t StoreHits = 0, StoreCopies = 0, PoolBindHits = 0;
   for (unsigned I = 0; I < kSamples; ++I) {
     SummaryCache Warm;
-    EventCounters::reset();
-    PhaseTimes::reset();
+    RunMetrics::process().reset();
     Clock::time_point W0 = Clock::now();
     if (!Warm.openStore(Dir.string())) {
       std::fprintf(stderr, "cannot reopen store\n");
@@ -138,17 +137,14 @@ int main(int argc, char **argv) {
     }
     double Wall = secondsSince(W0) + runOnce(P, Lat, &Warm);
     StoreWarm = I == 0 ? Wall : std::min(StoreWarm, Wall);
-    double Decode = 0;
-    for (const auto &[Phase, Secs] : PhaseTimes::snapshot())
-      if (Phase == "cache.decode")
-        Decode = Secs;
+    double Decode = RunMetrics::process().seconds(Phase::CacheDecode);
     DecodeSecs = I == 0 ? Decode : std::min(DecodeSecs, Decode);
-    StoreHits = EventCounters::StoreHits.load();
-    StoreCopies = EventCounters::StorePayloadCopies.load();
-    PoolBindHits = EventCounters::PoolBindHits.load();
+    const CounterSnapshot C = CounterSnapshot::take();
+    StoreHits = C.StoreHits;
+    StoreCopies = C.StorePayloadCopies;
+    PoolBindHits = C.PoolBindHits;
     StoreClean =
-        StoreClean &&
-        EventCounters::ConstraintParseCalls.load() == 0 &&
+        StoreClean && C.ConstraintParseCalls == 0 &&
         Warm.misses() == 0 && StoreHits > 0 && StoreCopies == 0 &&
         PoolBindHits > 0;
   }

@@ -3,7 +3,7 @@
 // Measures the warm summary cache path directly instead of inferring it
 // from end-to-end times: one synthetic module analyzed cold (populating a
 // shared cache) and then warm, with the per-phase wall-clock accumulators
-// (support/Stats.h PhaseTimes) split out for each run:
+// (support/Stats.h phase timers) split out for each run:
 //
 //   pipeline.generate / simplify / solve / convert   the classic phases
 //   cache.hash                                       structural key hashing
@@ -11,7 +11,7 @@
 //   cache.encode / cache.decode                      binary codec work
 //   parser.parse                                     ConstraintParser time
 //
-// plus the EventCounters (constraint parses, scheme encodes/decodes, and
+// plus the event counters (constraint parses, scheme encodes/decodes, and
 // generation-cache hits/misses). The content-addressed data plane's claims
 // are checkable right here: warm runs must show parser.parse == 0, zero
 // ConstraintParseCalls, zero cache misses of ANY payload kind (schemes,
@@ -75,8 +75,7 @@ RunResult timedRun(const SynthProgram &P, const Lattice &Lat,
   PipelineOptions Opts;
   Opts.Jobs = 1; // single-core phase attribution (no overlap double-count)
   Opts.Cache = Cache;
-  PhaseTimes::reset();
-  EventCounters::reset();
+  RunMetrics::process().reset();
   const CounterSnapshot Counters0 = CounterSnapshot::take();
   uint64_t Hits0 = Cache ? Cache->hits() : 0;
   uint64_t Misses0 = Cache ? Cache->misses() : 0;

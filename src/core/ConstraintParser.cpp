@@ -245,8 +245,8 @@ bool ConstraintParser::parseLine(std::string_view Line, unsigned LineNo,
 std::optional<ConstraintSet> ConstraintParser::parse(std::string_view Text) {
   // Counted so tests can prove the warm cache path never parses text
   // (scheme replay goes through the binary codec instead).
-  EventCounters::ConstraintParseCalls.fetch_add(1, std::memory_order_relaxed);
-  ScopedPhaseTimer Timer("parser.parse");
+  countEvent(Counter::ConstraintParseCalls);
+  ScopedPhaseTimer Timer(Phase::ParserParse);
   ConstraintSet Out;
   unsigned LineNo = 1;
   size_t Pos = 0;

@@ -650,7 +650,7 @@ void noteDtvs(Encoder &Enc, const ConstraintSet &C) {
 std::string retypd::encodeScheme(const TypeScheme &Scheme,
                                  const SymbolTable &Syms, const Lattice &Lat,
                                  BackendKind Backend) {
-  EventCounters::SchemeEncodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeEncodes);
   Encoder Enc(Syms, Lat);
   const ConstraintSet &C = Scheme.Constraints;
   noteDtvs(Enc, C);
@@ -743,7 +743,7 @@ std::optional<TypeScheme> decodeSchemeImpl(std::string_view P,
 std::optional<TypeScheme> retypd::decodeScheme(std::string_view Payload,
                                                SymbolTable &Syms,
                                                const Lattice &Lat) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   if (!validatePayload(Payload, 0))
     return std::nullopt;
   return decodeSchemeImpl(Payload, Syms, Lat, nullptr);
@@ -752,7 +752,7 @@ std::optional<TypeScheme> retypd::decodeScheme(std::string_view Payload,
 std::optional<TypeScheme>
 retypd::decodeSchemeTrusted(std::string_view Payload, SymbolTable &Syms,
                             const Lattice &Lat, const PoolBindingView *Pool) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   return decodeSchemeImpl(Payload, Syms, Lat, Pool);
 }
 
@@ -767,7 +767,7 @@ std::string retypd::encodeGenResult(const ConstraintSet &C,
                                     const std::vector<TypeVariable> &Callsites,
                                     const SymbolTable &Syms,
                                     const Lattice &Lat) {
-  EventCounters::SchemeEncodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeEncodes);
   Encoder Enc(Syms, Lat);
   noteDtvs(Enc, C);
 
@@ -899,7 +899,7 @@ decodeGenResultImpl(std::string_view P, SymbolTable &Syms, const Lattice &Lat,
 std::optional<DecodedGenResult>
 retypd::decodeGenResult(std::string_view Payload, SymbolTable &Syms,
                         const Lattice &Lat) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   if (!validatePayload(Payload, 0))
     return std::nullopt;
   return decodeGenResultImpl(Payload, Syms, Lat, nullptr);
@@ -909,7 +909,7 @@ std::optional<DecodedGenResult>
 retypd::decodeGenResultTrusted(std::string_view Payload, SymbolTable &Syms,
                                const Lattice &Lat,
                                const PoolBindingView *Pool) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   return decodeGenResultImpl(Payload, Syms, Lat, Pool);
 }
 
@@ -917,7 +917,7 @@ std::optional<GenResultMeta>
 retypd::decodeGenResultMetaTrusted(std::string_view Payload, SymbolTable &Syms,
                                    const Lattice &Lat,
                                    const PoolBindingView *Pool) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   Layout L;
   if (!parseLayout(Payload, L) || L.Tag != kGenResultTag)
     return std::nullopt;
@@ -947,7 +947,7 @@ retypd::decodeGenResultMetaTrusted(std::string_view Payload, SymbolTable &Syms,
 std::string retypd::encodeSketchBundle(
     const std::vector<std::pair<TypeVariable, const Sketch *>> &Entries,
     const SymbolTable &Syms, const Lattice &Lat, BackendKind Backend) {
-  EventCounters::SchemeEncodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeEncodes);
   std::vector<const std::string *> Names;
   std::unordered_map<std::string, uint64_t> NameIds;
   auto nameIdx = [&](const std::string &N) -> uint32_t {
@@ -1073,7 +1073,7 @@ decodeSketchBundleImpl(std::string_view P, SymbolTable &Syms,
 std::optional<std::vector<SketchBinding>>
 retypd::decodeSketchBundle(std::string_view Payload, SymbolTable &Syms,
                            const Lattice &Lat) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   if (!validatePayload(Payload, 0))
     return std::nullopt;
   return decodeSketchBundleImpl(Payload, Syms, Lat, nullptr);
@@ -1083,7 +1083,7 @@ std::optional<std::vector<SketchBinding>>
 retypd::decodeSketchBundleTrusted(std::string_view Payload, SymbolTable &Syms,
                                   const Lattice &Lat,
                                   const PoolBindingView *Pool) {
-  EventCounters::SchemeDecodes.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::SchemeDecodes);
   return decodeSketchBundleImpl(Payload, Syms, Lat, Pool);
 }
 

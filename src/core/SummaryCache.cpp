@@ -66,7 +66,7 @@ SummaryKey SummaryCache::keyFor(const ConstraintSet &C, TypeVariable ProcVar,
                                 BackendKind Backend) {
   // The canonical structural hash is the content identity — insertion
   // order and symbol-id allocation cannot leak into it.
-  ScopedPhaseTimer Timer("cache.hash");
+  ScopedPhaseTimer Timer(Phase::CacheHash);
   return keyFor(constraintSetHash(C, Syms, Lat),
                 Syms.name(ProcVar.symbol()), InterestingNames, Opts, Backend);
 }
@@ -123,7 +123,7 @@ SummaryCache::poolBindingFor(SymbolTable &Syms, const Lattice &Lat) const {
   }
   uint64_t Added = 0;
   {
-    ScopedPhaseTimer Timer("cache.poolbind");
+    ScopedPhaseTimer Timer(Phase::CachePoolBind);
     Backing->forEachPoolNameFrom(From, [&](uint64_t, std::string_view N) {
       B->SymIds.push_back(Syms.intern(N));
       std::optional<LatticeElem> E = Lat.lookup(N);
@@ -132,7 +132,7 @@ SummaryCache::poolBindingFor(SymbolTable &Syms, const Lattice &Lat) const {
     });
   }
   if (Added) {
-    EventCounters::PoolBinds.fetch_add(Added, std::memory_order_relaxed);
+    countEvent(Counter::PoolBinds, Added);
     trace::instant("pool.bind", "store", static_cast<int64_t>(Added));
   }
   std::lock_guard<std::mutex> L(BindingM);
@@ -161,7 +161,7 @@ auto SummaryCache::probeImpl(const SummaryKey &K, SymbolTable &Syms,
     auto It = Sh.Entries.find(K);
     if (It != Sh.Entries.end()) {
       FoundMem = true;
-      ScopedPhaseTimer Timer("cache.decode");
+      ScopedPhaseTimer Timer(Phase::CacheDecode);
       Out = Decode(std::string_view(It->second));
     }
   }
@@ -201,14 +201,13 @@ auto SummaryCache::probeImpl(const SummaryKey &K, SymbolTable &Syms,
         PV.SymIds = B->SymIds.data();
         PV.LatElems = B->LatElems.data();
         PV.Size = B->SymIds.size();
-        ScopedPhaseTimer Timer("cache.decode");
+        ScopedPhaseTimer Timer(Phase::CacheDecode);
         Out = DecodeTrusted(V, &PV);
       }
       if (Out) {
-        EventCounters::StoreHits.fetch_add(1, std::memory_order_relaxed);
+        countEvent(Counter::StoreHits);
         if (PoolMode)
-          EventCounters::PoolBindHits.fetch_add(1,
-                                                std::memory_order_relaxed);
+          countEvent(Counter::PoolBindHits);
       } else if (PoolMode && Attempt == 0) {
         // The payload may reference pool ids added after our binding
         // snapshot (another process flushed between the binding build
@@ -265,9 +264,9 @@ std::optional<DecodedGenResult> SummaryCache::lookupGen(const SummaryKey &K,
         return decodeGenResultTrusted(P, Syms, Lat, Pool);
       });
   if (Out)
-    EventCounters::GenCacheHits.fetch_add(1, std::memory_order_relaxed);
+    countEvent(Counter::GenCacheHits);
   else
-    EventCounters::GenCacheMisses.fetch_add(1, std::memory_order_relaxed);
+    countEvent(Counter::GenCacheMisses);
   return Out;
 }
 
@@ -286,9 +285,9 @@ SummaryCache::lookupGenMeta(const SummaryKey &K, SymbolTable &Syms,
         return decodeGenResultMetaTrusted(P, Syms, Lat, Pool);
       });
   if (Out)
-    EventCounters::GenCacheHits.fetch_add(1, std::memory_order_relaxed);
+    countEvent(Counter::GenCacheHits);
   else
-    EventCounters::GenCacheMisses.fetch_add(1, std::memory_order_relaxed);
+    countEvent(Counter::GenCacheMisses);
   return Out;
 }
 
@@ -349,7 +348,7 @@ std::optional<size_t> SummaryCache::flushToStore(std::string *Err) {
     return A.first < B.first;
   });
   size_t Appended = 0;
-  ScopedPhaseTimer Timer("store.flush");
+  ScopedPhaseTimer Timer(Phase::StoreFlush);
   bool Ok = Backing->flushWith(
       [&](Store::Txn &T) {
         Appended = 0;
@@ -384,7 +383,7 @@ void SummaryCache::insertGen(const SummaryKey &K, const ConstraintSet &C,
                              const SymbolTable &Syms, const Lattice &Lat) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedPhaseTimer Timer(Phase::CacheEncode);
     Payload = encodeGenResult(C, SetHash, Interesting, Callsites, Syms, Lat);
   }
   insertPayload(K, std::move(Payload));
@@ -396,7 +395,7 @@ void SummaryCache::insertSolution(
     const SymbolTable &Syms, const Lattice &Lat, BackendKind Backend) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedPhaseTimer Timer(Phase::CacheEncode);
     Payload = encodeSketchBundle(Entries, Syms, Lat, Backend);
   }
   insertPayload(K, std::move(Payload));
@@ -407,7 +406,7 @@ void SummaryCache::insert(const SummaryKey &K, const TypeScheme &Scheme,
                           BackendKind Backend) {
   std::string Payload;
   {
-    ScopedPhaseTimer Timer("cache.encode");
+    ScopedPhaseTimer Timer(Phase::CacheEncode);
     Payload = encodeScheme(Scheme, Syms, Lat, Backend);
   }
   insertPayload(K, std::move(Payload));

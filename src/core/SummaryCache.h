@@ -47,7 +47,7 @@
 /// cache batch-interns the pool once per (store pool epoch, symbol
 /// table) into a translation table (PoolBindingView), so a warm probe
 /// performs zero per-payload string hashing
-/// (EventCounters::PoolBinds/PoolBindHits).
+/// (Counter::PoolBinds/PoolBindHits).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -153,7 +153,7 @@ public:
   /// the session combines from ConstraintGenerator::genKey values —
   /// already domain-separated from scheme and solve keys), if cached. Same
   /// self-healing contract as lookup(); additionally bumps
-  /// EventCounters::GenCacheHits/Misses so benchmarks can report
+  /// Counter::GenCacheHits/Misses so benchmarks can report
   /// generation reuse separately.
   std::optional<DecodedGenResult> lookupGen(const SummaryKey &K,
                                             SymbolTable &Syms,
@@ -202,7 +202,7 @@ public:
   /// is a cold store) the artifact store in \p Dir and attaches it
   /// behind this cache: probes that miss the in-memory map fall through
   /// to the store and decode ZERO-COPY straight out of its memory-mapped
-  /// segments (EventCounters::StoreHits / StorePayloadCopies), and
+  /// segments (Counter::StoreHits / StorePayloadCopies), and
   /// flushToStore() appends this cache's new entries under the store's
   /// advisory file lock. Returns false with \p Err on foreign, newer, or
   /// unwritable directories.
@@ -266,7 +266,7 @@ private:
 
   /// Returns a binding current for (store pool, \p Syms, \p Lat),
   /// batch-interning any pool names added since the last build
-  /// (EventCounters::PoolBinds per name). Never called while a store
+  /// (Counter::PoolBinds per name). Never called while a store
   /// PayloadRef is alive — the build takes the store's shared lock.
   std::shared_ptr<const PoolBinding> poolBindingFor(SymbolTable &Syms,
                                                     const Lattice &Lat) const;

@@ -125,7 +125,7 @@ void retypd::verifyDtv(const DerivedTypeVariable &V, const SymbolTable &Syms,
 void retypd::verifyConstraintSet(const ConstraintSet &C,
                                  const SymbolTable &Syms, const Lattice &Lat,
                                  std::string_view Ctx, VerifyDiags &D) {
-  EventCounters::VerifierChecks.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::VerifierChecks);
   std::string Sub;
   size_t I = 0;
   for (const SubtypeConstraint &S : C.subtypes()) {
@@ -150,7 +150,7 @@ void retypd::verifyConstraintSet(const ConstraintSet &C,
 void retypd::verifyCanonicalOrder(const ConstraintSet &C,
                                   const SymbolTable &Syms, const Lattice &Lat,
                                   std::string_view Ctx, VerifyDiags &D) {
-  EventCounters::VerifierChecks.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::VerifierChecks);
   ConstraintSet::CanonicalView View = C.canonicalView(Syms, Lat);
   for (size_t I = 0; I < View.Subs.size(); ++I)
     if (View.Subs[I] != &C.subtypes()[I]) {
@@ -181,7 +181,7 @@ void retypd::verifyScheme(const TypeScheme &S, const SymbolTable &Syms,
                           const Lattice &Lat,
                           const std::unordered_set<TypeVariable> *AllowedFree,
                           std::string_view Ctx, VerifyDiags &D) {
-  EventCounters::VerifierChecks.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::VerifierChecks);
   checkBase(S.ProcVar, Syms, Lat, Ctx, "procedure variable", D);
   if (S.ProcVar.isConstant())
     fail(D, Ctx, "procedure variable is a type constant");
@@ -228,7 +228,7 @@ void retypd::verifyScheme(const TypeScheme &S, const SymbolTable &Syms,
 
 void retypd::verifySketch(const Sketch &Sk, const Lattice &Lat,
                           std::string_view Ctx, VerifyDiags &D) {
-  EventCounters::VerifierChecks.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::VerifierChecks);
   if (Sk.size() == 0) {
     fail(D, Ctx, "sketch has no nodes (missing root)");
     return;

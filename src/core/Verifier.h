@@ -16,7 +16,7 @@
 /// The verifier is a pure read-only layer selected by \c VerifyLevel:
 ///
 ///   Off    nothing runs — the hot path is measurably untouched
-///          (EventCounters::VerifierChecks stays 0).
+///          (Counter::VerifierChecks stays 0).
 ///   Phase  freshly computed artifacts are verified at the wave-order
 ///          commit points of the pipeline.
 ///   Full   additionally, artifacts decoded from the summary cache and
@@ -24,7 +24,7 @@
 ///          trusted-decoder or stale-replay bug is caught at the phase
 ///          boundary instead of surfacing as a wrong report.
 ///
-/// Every top-level verified object bumps EventCounters::VerifierChecks.
+/// Every top-level verified object bumps Counter::VerifierChecks.
 /// Diagnostics are rendered strings with a caller-supplied context prefix
 /// ("phase1 scheme 'close_last'"), collected — never thrown — so one run
 /// reports every violation.

@@ -47,7 +47,7 @@ struct AnalysisOptions {
   /// AnalysisSession::storeError(); the run completes either way.
   std::string StoreDir;
   /// Formation-rule verification level (core/Verifier.h). Off adds zero
-  /// work to the pipeline (EventCounters::VerifierChecks stays 0). Phase
+  /// work to the pipeline (Counter::VerifierChecks stays 0). Phase
   /// verifies freshly committed artifacts at the sequence-ordered commit
   /// points; Full additionally verifies artifacts replayed from the
   /// summary cache and the durable store. Findings are collected in

@@ -44,7 +44,6 @@
 #include "support/Trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <limits>
 #include <set>
@@ -54,12 +53,6 @@
 using namespace retypd;
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double secondsSince(Clock::time_point T0) {
-  return std::chrono::duration<double>(Clock::now() - T0).count();
-}
 
 /// Marker snapshot hash for externals without a known-function scheme.
 /// Distinguishable from every real scheme hash (FNV-1a of a non-empty
@@ -537,7 +530,6 @@ struct P1Item {
   /// decode); the main thread regenerates and re-simplifies inline at
   /// this slot's commit.
   bool SimplifyFailed = false;
-  double SimplifySecs = 0; ///< worker-side time, summed into stats at commit
 };
 
 enum class P2Mode { Solve, RefineOnly, Reuse };
@@ -559,14 +551,13 @@ struct P2Item {
   /// The solve worker needed the SCC's (lazily replayed) constraints but
   /// the gen entry vanished; the main thread regenerates + solves inline.
   bool NeedGen = false;
-  double SolveSecs = 0; ///< worker-side time, summed into stats at commit
 };
 
 /// Phase 0: IR-level interface recovery + library summaries. Returns the
 /// known-function schemes phase 1 starts from.
 std::unordered_map<uint32_t, TypeScheme>
 runPhase0(Module &M, SymbolTable &S, const Lattice &Lat) {
-  ScopedPhaseTimer Timer("pipeline.phase0");
+  ScopedPhaseTimer Timer(Phase::Phase0);
   trace::TraceSpan Span("phase0", "phase");
   std::unordered_map<uint32_t, TypeScheme> Schemes;
   recoverInterfaces(M);
@@ -586,7 +577,7 @@ unsigned resolveJobs(unsigned Jobs) {
 /// the bookkeeping each phase hands to the next. Each phase is a member
 /// function; analyze() calls them in order.
 struct AnalysisSession::RunState {
-  RunState(AnalysisSession &Sess,
+  RunState(AnalysisSession &Sess, RunMetrics &Metrics,
            std::unordered_map<uint32_t, TypeScheme> KnownSchemes);
 
   void detectEdits();
@@ -620,6 +611,9 @@ private:
                 const DagScheduler::CommitFn &Commit);
 
   AnalysisSession &Sess;
+  // This run's counters and phase timers; worker tasks route theirs here
+  // with a MetricsScope.
+  RunMetrics &Metrics;
   Module &M;
   const Lattice &Lat;
   SymbolTable &S;
@@ -651,7 +645,6 @@ private:
   const Hash128 GenEnvSig;
   std::unordered_map<uint32_t, Hash128> SchemeHashMemo;
   uint64_t Hits0 = 0, Misses0 = 0;
-  CounterSnapshot Counters0;
 
   // Edit detection.
   std::string GSig;
@@ -678,8 +671,9 @@ private:
 };
 
 AnalysisSession::RunState::RunState(
-    AnalysisSession &Sess, std::unordered_map<uint32_t, TypeScheme> Known)
-    : Sess(Sess), M(Sess.M), Lat(Sess.Lat), S(*Sess.Syms),
+    AnalysisSession &Sess, RunMetrics &Metrics,
+    std::unordered_map<uint32_t, TypeScheme> Known)
+    : Sess(Sess), Metrics(Metrics), M(Sess.M), Lat(Sess.Lat), S(*Sess.Syms),
       Report(Sess.Report), Opts(Sess.Opts), VL(Opts.Verify),
       KeepHist(Opts.KeepHistory), Schemes(std::move(Known)), CG(M),
       Gen(S, Lat, M),
@@ -704,11 +698,10 @@ AnalysisSession::RunState::RunState(
   Report.Stats.WaveCount = CG.bottomUpWaves().size();
   for (const auto &W : CG.bottomUpWaves())
     Report.Stats.WidestWave = std::max(Report.Stats.WidestWave, W.size());
+  // SummaryCache hits/misses are instance counters; everything else is
+  // counted in this run's Metrics.
   Hits0 = Cache ? Cache->hits() : 0;
   Misses0 = Cache ? Cache->misses() : 0;
-  // SummaryCache hits/misses are instance counters (snapshotted above);
-  // everything process-global goes through one CounterSnapshot.
-  Counters0 = CounterSnapshot::take();
 }
 
 void AnalysisSession::RunState::detectEdits() {
@@ -836,11 +829,9 @@ void AnalysisSession::RunState::inferSchemes() {
     return prepScheme(Slots[Scc]);
   };
   auto Compute = [&](uint32_t Scc) {
-    ScopedPhaseTimer Timer("pipeline.simplify");
-    P1Item &Item = Slots[Scc];
-    Clock::time_point T0 = Clock::now();
-    Item.SimplifyFailed = !simplifyItem(Item);
-    Item.SimplifySecs = secondsSince(T0);
+    MetricsScope Scope(Metrics);
+    ScopedPhaseTimer Timer(Phase::Simplify);
+    Slots[Scc].SimplifyFailed = !simplifyItem(Slots[Scc]);
   };
   auto Commit = [&](uint32_t Scc, DagNodeKind Kind) {
     commitScheme(Slots[Scc], Kind);
@@ -903,14 +894,12 @@ DagPrep AnalysisSession::RunState::prepScheme(P1Item &Item) {
   P1Computed[Scc] = 1;
   ++Report.Stats.SccsSimplified;
   Item.Key = std::move(Key);
-  Clock::time_point T0 = Clock::now();
   generateSlot(Item);
-  Report.Stats.GenerateSecs += secondsSince(T0);
   return {DagNodeKind::Compute, Item.ConstraintCount};
 }
 
 void AnalysisSession::RunState::generateSlot(P1Item &Item) {
-  ScopedPhaseTimer Timer("pipeline.generate");
+  ScopedPhaseTimer Timer(Phase::Generate);
   trace::TraceSpan GenSpan("generate", "scc");
   if (GenSpan.active()) {
     GenSpan.Args.Scc = Item.Scc;
@@ -928,7 +917,7 @@ void AnalysisSession::RunState::generateSlot(P1Item &Item) {
   // expects to find interned (the meta decoder interns them).
   if (Cache) {
     {
-      ScopedPhaseTimer KeyTimer("gencache.key");
+      ScopedPhaseTimer KeyTimer(Phase::GenCacheKey);
       const std::vector<uint32_t> &AllMembers = CG.sccs()[Item.Scc];
       std::set<uint32_t> Mates(AllMembers.begin(), AllMembers.end());
       auto schemeHashFor = [&](uint32_t Callee) -> const Hash128 * {
@@ -965,10 +954,7 @@ void AnalysisSession::RunState::generateSlot(P1Item &Item) {
     Item.Interesting.insert(Item.Meta->Interesting.begin(),
                             Item.Meta->Interesting.end());
     Item.ConstraintCount = static_cast<size_t>(Item.Meta->ConstraintCount);
-    ++Report.Stats.GenCacheHits;
   } else {
-    if (Item.HasGenKey)
-      ++Report.Stats.GenCacheMisses;
     std::vector<TypeVariable> Callsites;
     Item.Combined = generateScc(Item.Scc, Item.Members, &Item.Interesting,
                                 Cache ? &Callsites : nullptr);
@@ -976,7 +962,7 @@ void AnalysisSession::RunState::generateSlot(P1Item &Item) {
     Item.ConstraintCount = Item.Combined.size();
     if (Cache) {
       {
-        ScopedPhaseTimer HashTimer("cache.hash");
+        ScopedPhaseTimer HashTimer(Phase::CacheHash);
         Item.SetHash = canonicalSetHash(Item.Combined, S, Lat);
       }
       std::vector<TypeVariable> Interesting(Item.Interesting.begin(),
@@ -1066,13 +1052,11 @@ void AnalysisSession::RunState::commitScheme(P1Item &Item, DagNodeKind Kind) {
   // probe): regenerate the set — deterministic, so identical to what the
   // replay would have produced — and redo the slot inline.
   if (Item.SimplifyFailed) {
-    Clock::time_point T0 = Clock::now();
+    ScopedPhaseTimer Timer(Phase::Simplify);
     Item.Combined = generateScc(Scc, Item.Members, nullptr, nullptr);
     Item.HasCombined = true;
     Item.SimplifyFailed = !simplifyItem(Item);
-    Item.SimplifySecs += secondsSince(T0);
   }
-  Report.Stats.SimplifySecs += Item.SimplifySecs;
   // Verify what this SCC is about to commit: the combined constraint set
   // when it was materialized this run (fresh generation, or — in Full mode
   // the interesting case — a residual decode straight off the cache/store
@@ -1160,11 +1144,9 @@ void AnalysisSession::RunState::solveSketches() {
     return prepSolve(Slots[Scc]);
   };
   auto Compute = [&](uint32_t Scc) {
-    ScopedPhaseTimer Timer("pipeline.solve");
-    P2Item &Item = Slots[Scc];
-    Clock::time_point T0 = Clock::now();
-    solveItem(Item);
-    Item.SolveSecs = secondsSince(T0);
+    MetricsScope Scope(Metrics);
+    ScopedPhaseTimer Timer(Phase::Solve);
+    solveItem(Slots[Scc]);
   };
   auto Commit = [&](uint32_t Scc, DagNodeKind Kind) {
     commitSketches(Slots[Scc], Kind);
@@ -1190,7 +1172,7 @@ DagPrep AnalysisSession::RunState::prepSolve(P2Item &Item) {
   // constraint set unmaterialized, but it still must be solved.
   if (!Art || Art->ConstraintCount == 0)
     return {DagNodeKind::Trivial};
-  ScopedPhaseTimer PrepTimer("pipeline.solveprep");
+  ScopedPhaseTimer PrepTimer(Phase::SolvePrep);
   for (uint32_t F : CG.sccs()[Scc])
     if (!M.Funcs[F].IsExternal)
       Item.Members.push_back(F);
@@ -1246,7 +1228,7 @@ DagPrep AnalysisSession::RunState::prepSolve(P2Item &Item) {
     // Phase 1 already hashed this SCC's canonical set; artifacts replayed
     // from a cacheless earlier run ({0,0}) hash on demand.
     if (Art->SetHash == Hash128{}) {
-      ScopedPhaseTimer HashTimer("cache.hash");
+      ScopedPhaseTimer HashTimer(Phase::CacheHash);
       Art->SetHash = canonicalSetHash(Art->Combined, S, Lat);
     }
     std::vector<std::string> Names;
@@ -1341,13 +1323,11 @@ void AnalysisSession::RunState::commitSolve(P2Item &Item, SccArtifact &Art) {
   // solve inline (rare — requires eviction between the meta probe and the
   // slot's solve).
   if (Item.NeedGen) {
-    Clock::time_point T0 = Clock::now();
+    ScopedPhaseTimer Timer(Phase::Solve);
     Art.Combined = generateScc(Item.Scc, Item.Members, nullptr, nullptr);
     Item.Sol = Backend->solve(Art.Combined, Item.Wanted);
     Item.NeedGen = false;
-    Item.SolveSecs += secondsSince(T0);
   }
-  Report.Stats.SolveSecs += Item.SolveSecs;
   // Full verification inspects every sketch decoded from the summary
   // cache/store before anything derives from it. Iterating Wanted (not
   // the solution map) keeps the diagnostic order deterministic.
@@ -1466,13 +1446,11 @@ void AnalysisSession::RunState::refineMembers(
 //===----------------------------------------------------------------------===//
 
 void AnalysisSession::RunState::convertTypes() {
-  Clock::time_point T0 = Clock::now();
-  ScopedPhaseTimer Timer("pipeline.convert");
+  ScopedPhaseTimer Timer(Phase::Convert);
   trace::TraceSpan Span("convert", "phase");
   CTypeConverter Conv(Report.Pool, Lat, Opts.Conversion);
   for (auto &[F, FT] : Report.Funcs)
     FT.CType = Conv.convertFunction(FT.FuncSketch);
-  Report.Stats.ConvertSecs += secondsSince(T0);
 }
 
 // Records this run's snapshots and artifacts for the next incremental
@@ -1504,12 +1482,12 @@ void AnalysisSession::RunState::recordHistory() {
   Sess.GlobalsSig = std::move(GSig);
 }
 
-// Journals this run's new artifacts to the durable store, then publishes
-// the run's last counters. The report is already complete and correct at
-// this point; a failed flush only costs durability, so it is surfaced via
-// storeError() rather than aborting the run. A later successful flush
-// clears the error: it re-appends everything the store is missing, so the
-// failed attempt leaves no lasting gap.
+// Journals this run's new artifacts to the durable store, then fills the
+// run's timers and counters into PipelineStats. The report is already
+// complete and correct at this point; a failed flush only costs
+// durability, so it is surfaced via storeError() rather than aborting the
+// run. A later successful flush clears the error: it re-appends everything
+// the store is missing, so the failed attempt leaves no lasting gap.
 void AnalysisSession::RunState::journalStore() {
   if (Cache && Cache->store()) {
     trace::TraceSpan Span("store.flush", "store");
@@ -1520,10 +1498,16 @@ void AnalysisSession::RunState::journalStore() {
       Sess.StoreError = FlushErr;
   }
   Report.StoreError = Sess.StoreError;
-  const CounterSnapshot CounterDelta = Counters0.delta();
-  Report.Stats.StoreHits = CounterDelta.StoreHits;
-  Report.Stats.StoreAppends = CounterDelta.StoreAppends;
-  Report.Stats.PoolBindHits = CounterDelta.PoolBindHits;
+  PipelineStats &St = Report.Stats;
+  St.GenerateSecs = Metrics.seconds(Phase::Generate);
+  St.SimplifySecs = Metrics.seconds(Phase::Simplify);
+  St.SolveSecs = Metrics.seconds(Phase::Solve);
+  St.ConvertSecs = Metrics.seconds(Phase::Convert);
+  St.GenCacheHits = Metrics.counter(Counter::GenCacheHits);
+  St.GenCacheMisses = Metrics.counter(Counter::GenCacheMisses);
+  St.StoreHits = Metrics.counter(Counter::StoreHits);
+  St.StoreAppends = Metrics.counter(Counter::StoreAppends);
+  St.PoolBindHits = Metrics.counter(Counter::PoolBindHits);
   Report.VerifyErrors = std::move(VDiags.Errors);
 }
 
@@ -1538,7 +1522,11 @@ const TypeReport &AnalysisSession::analyze() {
     Analyzed = true;
     return Report;
   }
-  RunState Run(*this, runPhase0(M, *Syms, Lat));
+  // Phase 0 through the store flush count into this run's metrics, which
+  // the run adds into the process sink when it ends.
+  RunMetrics Metrics;
+  RunScope Scope(Metrics);
+  RunState Run(*this, Metrics, runPhase0(M, *Syms, Lat));
   Run.detectEdits();
   Run.inferSchemes();
   Run.solveSketches();

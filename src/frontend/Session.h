@@ -66,15 +66,20 @@
 namespace retypd {
 
 /// Wall-clock, cache, and incrementality counters for one analyze() call.
+/// The timers and the event counters are this run's own metrics
+/// (support/Stats.h), never the process's: a concurrent run in another
+/// session does not show up here.
 struct PipelineStats {
   /// Solver backend that produced this run ("retypd" or "binsub") —
   /// recorded in the stats JSON so archived reports are attributable.
   std::string Backend = "retypd";
   double GenerateSecs = 0;  ///< constraint generation (main thread)
-  double SimplifySecs = 0;  ///< scheme simplification, summed over work
-                            ///< units (CPU time: exceeds wall when parallel)
-  double SolveSecs = 0;     ///< sketch solving, summed over work units
-                            ///< (CPU time: exceeds wall when parallel)
+  double SimplifySecs = 0;  ///< scheme simplification: worker wall time
+                            ///< summed over work units (exceeds the
+                            ///< elapsed wall time when parallel)
+  double SolveSecs = 0;     ///< sketch solving: worker wall time summed
+                            ///< over work units (exceeds the elapsed wall
+                            ///< time when parallel)
   double ConvertSecs = 0;   ///< C-type conversion (sequential)
   size_t SccCount = 0;
   size_t WaveCount = 0;  ///< condensation depth (diagnostic; no barriers)

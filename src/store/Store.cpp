@@ -708,7 +708,7 @@ bool Store::scanSegmentTail(size_t SegIdx, std::string *Err) {
       // lifetime — lookups then decode through the codec's trusted fast
       // path. A record that fails is treated exactly like a CRC
       // mismatch: skipped, neighbors unaffected.
-      EventCounters::SegmentValidates.fetch_add(1, std::memory_order_relaxed);
+      countEvent(Counter::SegmentValidates);
       if (!Opts.Validator(S.bytes().substr(R.BodyOff, R.BodyLen),
                           PoolNames.size()))
         continue;
@@ -795,7 +795,7 @@ Store::PayloadRef Store::lookup(const Hash128 &K) const {
     return R;
   const Segment &S = Segments[It->second.Seg];
   if (!S.Mmapped)
-    EventCounters::StorePayloadCopies.fetch_add(1, std::memory_order_relaxed);
+    countEvent(Counter::StorePayloadCopies);
   R.View = S.bytes().substr(It->second.BodyOff, It->second.BodyLen);
   R.Found = true;
   R.Lock = std::move(L);
@@ -1183,8 +1183,7 @@ bool Store::writePendingLocked(std::string *Err) {
   uint32_t SegIdx = static_cast<uint32_t>(Segments.size() - 1);
   for (const PendingRec &R : Pending)
     Index[R.Key] = Loc{SegIdx, Base + R.BodyOff, R.BodyLen};
-  EventCounters::StoreAppends.fetch_add(Pending.size(),
-                                        std::memory_order_relaxed);
+  countEvent(Counter::StoreAppends, Pending.size());
   trace::instant("store.append", "store",
                  static_cast<int64_t>(Pending.size()));
   Pending.clear();
@@ -1350,7 +1349,7 @@ Store::compactImpl(const std::function<bool(const Hash128 &, size_t)> *Keep,
   Index.clear();
   if (!loadViewLocked(Err))
     return std::nullopt;
-  EventCounters::StoreCompactions.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::StoreCompactions);
   trace::instant("store.compact", "store", 1);
   return Out;
 }

@@ -123,7 +123,7 @@ struct StoreOptions {
   /// visible at that point. Records it rejects are not indexed — exactly
   /// like a CRC mismatch, contained per record. With a validator
   /// installed, lookups may decode through the codec's trusted fast path
-  /// (no per-probe validation); EventCounters::SegmentValidates counts
+  /// (no per-probe validation); Counter::SegmentValidates counts
   /// the scan-time runs.
   std::function<bool(std::string_view Payload, uint64_t PoolSize)> Validator;
 };
@@ -233,7 +233,7 @@ public:
   /// Looks up the live payload for \p K (last writer wins). The view
   /// points into the mapped segment — no payload bytes are copied; when
   /// a segment could not be memory-mapped the fallback read is counted
-  /// on EventCounters::StorePayloadCopies.
+  /// on Counter::StorePayloadCopies.
   PayloadRef lookup(const Hash128 &K) const;
 
   /// True when the live payload for \p K equals \p Bytes exactly. The
@@ -249,7 +249,7 @@ public:
   /// Takes the advisory file lock, absorbs any records other processes
   /// appended since our last sync, heals a torn tail, rolls the segment
   /// if oversized, writes the pending records, and updates the in-memory
-  /// index. Counted on EventCounters::StoreAppends per record written.
+  /// index. Counted on Counter::StoreAppends per record written.
   bool flush(std::string *Err = nullptr);
 
   /// The write half of a flushWith() call: a scope in which the caller
@@ -312,7 +312,7 @@ public:
   /// + 1, then deletes superseded segments and any orphans of a killed
   /// earlier compaction. Flushes pending appends first. The overload
   /// with \p Keep additionally drops live keys the predicate rejects
-  /// (the prune path). Counted on EventCounters::StoreCompactions.
+  /// (the prune path). Counted on Counter::StoreCompactions.
   std::optional<StoreCompactResult> compact(std::string *Err = nullptr);
   std::optional<StoreCompactResult>
   compact(const std::function<bool(const Hash128 &, size_t PayloadBytes)>

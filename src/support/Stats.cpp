@@ -1,11 +1,8 @@
-//===- Stats.cpp - Lightweight statistics & memory counters --------------===//
+//===- Stats.cpp - Run-scoped metrics & memory counters ------------------===//
 
 #include "support/Stats.h"
 
-#include <functional>
-#include <map>
-#include <mutex>
-#include <string_view>
+#include <algorithm>
 
 using namespace retypd;
 
@@ -32,119 +29,71 @@ void MemStats::noteFree(size_t Size) {
   LiveBytes.fetch_sub(Size, std::memory_order_relaxed);
 }
 
-std::atomic<uint64_t> EventCounters::ConstraintParseCalls{0};
-std::atomic<uint64_t> EventCounters::SchemeDecodes{0};
-std::atomic<uint64_t> EventCounters::SchemeEncodes{0};
-std::atomic<uint64_t> EventCounters::GenCacheHits{0};
-std::atomic<uint64_t> EventCounters::GenCacheMisses{0};
-std::atomic<uint64_t> EventCounters::StoreHits{0};
-std::atomic<uint64_t> EventCounters::StoreAppends{0};
-std::atomic<uint64_t> EventCounters::StoreCompactions{0};
-std::atomic<uint64_t> EventCounters::StorePayloadCopies{0};
-std::atomic<uint64_t> EventCounters::SegmentValidates{0};
-std::atomic<uint64_t> EventCounters::PoolBinds{0};
-std::atomic<uint64_t> EventCounters::PoolBindHits{0};
-std::atomic<uint64_t> EventCounters::VerifierChecks{0};
-std::atomic<uint64_t> EventCounters::TraceEvents{0};
-
-void EventCounters::reset() {
-  ConstraintParseCalls.store(0, std::memory_order_relaxed);
-  SchemeDecodes.store(0, std::memory_order_relaxed);
-  SchemeEncodes.store(0, std::memory_order_relaxed);
-  GenCacheHits.store(0, std::memory_order_relaxed);
-  GenCacheMisses.store(0, std::memory_order_relaxed);
-  StoreHits.store(0, std::memory_order_relaxed);
-  StoreAppends.store(0, std::memory_order_relaxed);
-  StoreCompactions.store(0, std::memory_order_relaxed);
-  StorePayloadCopies.store(0, std::memory_order_relaxed);
-  SegmentValidates.store(0, std::memory_order_relaxed);
-  PoolBinds.store(0, std::memory_order_relaxed);
-  PoolBindHits.store(0, std::memory_order_relaxed);
-  VerifierChecks.store(0, std::memory_order_relaxed);
-  TraceEvents.store(0, std::memory_order_relaxed);
+const char *retypd::phaseName(Phase P) {
+  static constexpr const char *Names[] = {
+#define RETYPD_PHASE_NAME(Name, Str) Str,
+      RETYPD_PHASES(RETYPD_PHASE_NAME)
+#undef RETYPD_PHASE_NAME
+  };
+  return Names[static_cast<size_t>(P)];
 }
 
+namespace {
+constinit RunMetrics ProcessSink;
+thread_local RunMetrics *CurrentRun = nullptr;
+} // namespace
+
+RunMetrics &RunMetrics::process() { return ProcessSink; }
+
+RunMetrics &RunMetrics::current() {
+  return CurrentRun ? *CurrentRun : process();
+}
+
+void RunMetrics::addTo(RunMetrics &Sink) const {
+  for (size_t I = 0; I < kNumCounters; ++I)
+    Sink.Counts[I].fetch_add(Counts[I].load(std::memory_order_relaxed),
+                             std::memory_order_relaxed);
+  for (size_t I = 0; I < kNumPhases; ++I)
+    Sink.Nanos[I].fetch_add(Nanos[I].load(std::memory_order_relaxed),
+                            std::memory_order_relaxed);
+}
+
+void RunMetrics::reset() {
+  for (auto &C : Counts)
+    C.store(0, std::memory_order_relaxed);
+  for (auto &N : Nanos)
+    N.store(0, std::memory_order_relaxed);
+}
+
+MetricsScope::MetricsScope(RunMetrics &Run) : Prev(CurrentRun) {
+  CurrentRun = &Run;
+}
+
+MetricsScope::~MetricsScope() { CurrentRun = Prev; }
+
 CounterSnapshot CounterSnapshot::take() {
+  const RunMetrics &P = RunMetrics::process();
   CounterSnapshot S;
-  S.ConstraintParseCalls =
-      EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed);
-  S.SchemeDecodes =
-      EventCounters::SchemeDecodes.load(std::memory_order_relaxed);
-  S.SchemeEncodes =
-      EventCounters::SchemeEncodes.load(std::memory_order_relaxed);
-  S.GenCacheHits = EventCounters::GenCacheHits.load(std::memory_order_relaxed);
-  S.GenCacheMisses =
-      EventCounters::GenCacheMisses.load(std::memory_order_relaxed);
-  S.StoreHits = EventCounters::StoreHits.load(std::memory_order_relaxed);
-  S.StoreAppends = EventCounters::StoreAppends.load(std::memory_order_relaxed);
-  S.StoreCompactions =
-      EventCounters::StoreCompactions.load(std::memory_order_relaxed);
-  S.StorePayloadCopies =
-      EventCounters::StorePayloadCopies.load(std::memory_order_relaxed);
-  S.SegmentValidates =
-      EventCounters::SegmentValidates.load(std::memory_order_relaxed);
-  S.PoolBinds = EventCounters::PoolBinds.load(std::memory_order_relaxed);
-  S.PoolBindHits = EventCounters::PoolBindHits.load(std::memory_order_relaxed);
-  S.VerifierChecks =
-      EventCounters::VerifierChecks.load(std::memory_order_relaxed);
-  S.TraceEvents = EventCounters::TraceEvents.load(std::memory_order_relaxed);
+#define RETYPD_COUNTER_TAKE(Name) S.Name = P.counter(Counter::Name);
+  RETYPD_COUNTERS(RETYPD_COUNTER_TAKE)
+#undef RETYPD_COUNTER_TAKE
   return S;
 }
 
 CounterSnapshot CounterSnapshot::delta() const {
-  CounterSnapshot Now = take();
-  CounterSnapshot D;
-  D.ConstraintParseCalls = Now.ConstraintParseCalls - ConstraintParseCalls;
-  D.SchemeDecodes = Now.SchemeDecodes - SchemeDecodes;
-  D.SchemeEncodes = Now.SchemeEncodes - SchemeEncodes;
-  D.GenCacheHits = Now.GenCacheHits - GenCacheHits;
-  D.GenCacheMisses = Now.GenCacheMisses - GenCacheMisses;
-  D.StoreHits = Now.StoreHits - StoreHits;
-  D.StoreAppends = Now.StoreAppends - StoreAppends;
-  D.StoreCompactions = Now.StoreCompactions - StoreCompactions;
-  D.StorePayloadCopies = Now.StorePayloadCopies - StorePayloadCopies;
-  D.SegmentValidates = Now.SegmentValidates - SegmentValidates;
-  D.PoolBinds = Now.PoolBinds - PoolBinds;
-  D.PoolBindHits = Now.PoolBindHits - PoolBindHits;
-  D.VerifierChecks = Now.VerifierChecks - VerifierChecks;
-  D.TraceEvents = Now.TraceEvents - TraceEvents;
+  CounterSnapshot D = take();
+#define RETYPD_COUNTER_DELTA(Name) D.Name -= Name;
+  RETYPD_COUNTERS(RETYPD_COUNTER_DELTA)
+#undef RETYPD_COUNTER_DELTA
   return D;
 }
 
-namespace {
-
-struct PhaseRegistry {
-  std::mutex Mutex;
-  // Transparent comparator: add() probes with the caller's const char*,
-  // so only a phase's first use builds a std::string key.
-  std::map<std::string, double, std::less<>> Seconds;
-
-  static PhaseRegistry &get() {
-    static PhaseRegistry R;
-    return R;
-  }
-};
-
-} // namespace
-
-void PhaseTimes::add(const char *Phase, double Seconds) {
-  PhaseRegistry &R = PhaseRegistry::get();
-  std::string_view Name(Phase);
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  auto It = R.Seconds.find(Name);
-  if (It == R.Seconds.end())
-    It = R.Seconds.emplace(std::string(Name), 0.0).first;
-  It->second += Seconds;
-}
-
 std::vector<std::pair<std::string, double>> PhaseTimes::snapshot() {
-  PhaseRegistry &R = PhaseRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  return {R.Seconds.begin(), R.Seconds.end()};
-}
-
-void PhaseTimes::reset() {
-  PhaseRegistry &R = PhaseRegistry::get();
-  std::lock_guard<std::mutex> Lock(R.Mutex);
-  R.Seconds.clear();
+  const RunMetrics &P = RunMetrics::process();
+  std::vector<std::pair<std::string, double>> Out;
+  for (size_t I = 0; I < kNumPhases; ++I)
+    if (double Secs = P.seconds(static_cast<Phase>(I)); Secs > 0)
+      Out.emplace_back(phaseName(static_cast<Phase>(I)), Secs);
+  std::sort(Out.begin(), Out.end());
+  return Out;
 }

@@ -1,20 +1,26 @@
-//===- Stats.h - Lightweight statistics & memory counters -----*- C++ -*-===//
+//===- Stats.h - Run-scoped metrics & memory counters ---------*- C++ -*-===//
 //
 // Part of the Retypd reproduction. See README.md for details.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Process-wide counters used by the scaling benchmarks (Figures 11 and 12).
-/// The memory counters are driven by operator new/delete hooks that are only
-/// linked into benchmark binaries (bench/MemHooks.cpp); in ordinary builds
-/// the counters stay at zero.
+/// One metrics source: event counters (`Counter`) and wall-clock phase
+/// timers (`Phase`) in a `RunMetrics` per run. `AnalysisSession::analyze()`
+/// installs its run with a `RunScope` and every worker task with a
+/// `MetricsScope`, so concurrent sessions never see each other's figures.
+/// Counts made outside any run go to the process sink, which a run joins
+/// when it ends; `PhaseTimes::snapshot()`, `CounterSnapshot` and `MemStats`
+/// are the process-wide views the benchmarks read. The memory counters are
+/// driven by operator new/delete hooks linked only into benchmark binaries
+/// (bench/MemHooks.cpp); elsewhere they stay at zero.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETYPD_SUPPORT_STATS_H
 #define RETYPD_SUPPORT_STATS_H
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -42,121 +48,172 @@ struct MemStats {
   static void noteFree(size_t Size);
 };
 
-/// Process-wide event counters for data-plane invariants and benchmarks.
-/// The headline one is ConstraintParseCalls: warm-cache analysis runs must
-/// perform ZERO ConstraintParser invocations (schemes replay through the
-/// binary codec of core/SchemeCodec.h), and tests assert it by
-/// snapshotting this counter around the warm run.
-struct EventCounters {
-  static std::atomic<uint64_t> ConstraintParseCalls;
-  static std::atomic<uint64_t> SchemeDecodes; ///< binary payload decodes
-  static std::atomic<uint64_t> SchemeEncodes; ///< binary payload encodes
-  /// Generation-result cache probes (SummaryCache::lookupGen). A fully
-  /// warm run must show zero misses and nonzero hits — bench_warmpath and
-  /// the gen-cache tests assert it.
-  static std::atomic<uint64_t> GenCacheHits;
-  static std::atomic<uint64_t> GenCacheMisses;
+/// Every event counter, in `Counter` order. The zero pins are asserted by
+/// tests and the benchmark gates (bench_warmpath, bench_store).
+#define RETYPD_COUNTERS(X)                                                    \
+  X(ConstraintParseCalls) /* 0 on warm runs (codec replay) */                 \
+  X(SchemeDecodes)        /* binary payload decodes */                        \
+  X(SchemeEncodes)        /* binary payload encodes */                        \
+  X(GenCacheHits)         /* SummaryCache::lookupGen(Meta) */                 \
+  X(GenCacheMisses)       /* 0 on a fully warm run */                         \
+  X(StoreHits)            /* probes served from the store */                  \
+  X(StoreAppends)         /* records journaled */                             \
+  X(StoreCompactions)                                                         \
+  X(StorePayloadCopies)   /* 0 on the mmap read path */                       \
+  X(SegmentValidates)     /* records validated at open */                     \
+  X(PoolBinds)            /* pool names interned */                           \
+  X(PoolBindHits)         /* decodes via the pool table */                    \
+  X(VerifierChecks)       /* 0 with --verify=off */                           \
+  X(TraceEvents)          /* 0 with tracing off */
 
-  /// Artifact-store (store/Store.h) counters. StoreHits are cache probes
-  /// served from the on-disk store; StoreAppends/StoreCompactions are the
-  /// write side. StorePayloadCopies counts store lookups that could NOT
-  /// be served zero-copy out of a memory-mapped segment (the pread
-  /// fallback for filesystems without mmap) — it must stay ZERO on the
-  /// mmap read path, and bench_store plus the store tests assert it.
-  static std::atomic<uint64_t> StoreHits;
-  static std::atomic<uint64_t> StoreAppends;
-  static std::atomic<uint64_t> StoreCompactions;
-  static std::atomic<uint64_t> StorePayloadCopies;
-  /// Store records validated structurally at segment-open (scan time).
-  /// With open-time validation in place, per-lookup decodes run the
-  /// trusted fast path — so this counter plus SchemeDecodes together
-  /// prove validation happened exactly once per record, not per probe.
-  static std::atomic<uint64_t> SegmentValidates;
-  /// Name-pool binding counters. PoolBinds counts pool names translated
-  /// to SymbolTable ids (batch interning at first use per store
-  /// generation); PoolBindHits counts store probes whose payload resolved
-  /// every name through the translation table — i.e. with zero string
-  /// hashing. A warm run must show nonzero PoolBindHits.
-  static std::atomic<uint64_t> PoolBinds;
-  static std::atomic<uint64_t> PoolBindHits;
-  /// Top-level objects checked by the formation-rule verifier
-  /// (core/Verifier.h). With --verify=off this must stay ZERO — the
-  /// verifier adds no work to the hot path — and bench_warmpath asserts
-  /// it.
-  static std::atomic<uint64_t> VerifierChecks;
-  /// Events recorded by the structured tracer (support/Trace.h). With
-  /// tracing off this must stay ZERO — same zero-cost-off contract as
-  /// VerifierChecks — and bench_warmpath asserts it.
-  static std::atomic<uint64_t> TraceEvents;
+/// Every phase timer and its published name, in `Phase` order. The
+/// `pipeline.*` and `store.flush` timers do not nest in one another; the
+/// `cache.*`, `gencache.key` and `parser.parse` timers run inside them.
+#define RETYPD_PHASES(X)                                                      \
+  X(Phase0, "pipeline.phase0")                                                \
+  X(Generate, "pipeline.generate")                                            \
+  X(Simplify, "pipeline.simplify")                                            \
+  X(SolvePrep, "pipeline.solveprep")                                          \
+  X(Solve, "pipeline.solve")                                                  \
+  X(Convert, "pipeline.convert")                                              \
+  X(StoreFlush, "store.flush")                                                \
+  X(CacheHash, "cache.hash")                                                  \
+  X(GenCacheKey, "gencache.key")                                              \
+  X(CacheEncode, "cache.encode")                                              \
+  X(CacheDecode, "cache.decode")                                              \
+  X(CachePoolBind, "cache.poolbind")                                          \
+  X(ParserParse, "parser.parse")
 
-  /// Zeroes every counter. Call between measured runs.
-  static void reset();
+enum class Counter : unsigned {
+#define RETYPD_COUNTER_ENUM(Name) Name,
+  RETYPD_COUNTERS(RETYPD_COUNTER_ENUM)
+#undef RETYPD_COUNTER_ENUM
 };
 
-/// Point-in-time copy of every EventCounters value. Replaces the ad-hoc
-/// `uint64_t StoreHits0 = EventCounters::StoreHits.load(...)` before/after
-/// pairs: take() one snapshot before a measured region, then delta() against
-/// the live counters afterwards.
-struct CounterSnapshot {
-  uint64_t ConstraintParseCalls = 0;
-  uint64_t SchemeDecodes = 0;
-  uint64_t SchemeEncodes = 0;
-  uint64_t GenCacheHits = 0;
-  uint64_t GenCacheMisses = 0;
-  uint64_t StoreHits = 0;
-  uint64_t StoreAppends = 0;
-  uint64_t StoreCompactions = 0;
-  uint64_t StorePayloadCopies = 0;
-  uint64_t SegmentValidates = 0;
-  uint64_t PoolBinds = 0;
-  uint64_t PoolBindHits = 0;
-  uint64_t VerifierChecks = 0;
-  uint64_t TraceEvents = 0;
+enum class Phase : unsigned {
+#define RETYPD_PHASE_ENUM(Name, Str) Name,
+  RETYPD_PHASES(RETYPD_PHASE_ENUM)
+#undef RETYPD_PHASE_ENUM
+};
 
-  /// Copies the current EventCounters values (relaxed loads).
+#define RETYPD_COUNT_ONE(...) +1
+constexpr size_t kNumCounters = 0 RETYPD_COUNTERS(RETYPD_COUNT_ONE);
+constexpr size_t kNumPhases = 0 RETYPD_PHASES(RETYPD_COUNT_ONE);
+#undef RETYPD_COUNT_ONE
+
+/// The published name of \p P ("pipeline.simplify", ...).
+const char *phaseName(Phase P);
+
+/// The counters and phase timers of one run (or of the whole process), as
+/// relaxed atomics indexed by the enums. Worker threads add concurrently,
+/// so a phase's total is wall time summed over threads and can exceed the
+/// elapsed wall time.
+class RunMetrics {
+public:
+  void count(Counter C, uint64_t N = 1) {
+    Counts[static_cast<size_t>(C)].fetch_add(N, std::memory_order_relaxed);
+  }
+  void addTime(Phase P, std::chrono::nanoseconds D) {
+    Nanos[static_cast<size_t>(P)].fetch_add(static_cast<uint64_t>(D.count()),
+                                            std::memory_order_relaxed);
+  }
+  uint64_t counter(Counter C) const {
+    return Counts[static_cast<size_t>(C)].load(std::memory_order_relaxed);
+  }
+  double seconds(Phase P) const {
+    return static_cast<double>(
+               Nanos[static_cast<size_t>(P)].load(std::memory_order_relaxed)) *
+           1e-9;
+  }
+
+  /// Adds every total of this run into \p Sink.
+  void addTo(RunMetrics &Sink) const;
+  /// Zeroes every counter and timer. Call between measured runs.
+  void reset();
+
+  /// The process sink: counts made outside any run, plus the totals of
+  /// every run that has ended.
+  static RunMetrics &process();
+  /// Where the calling thread's counts go: the innermost scope's run, or
+  /// the process sink outside any scope.
+  static RunMetrics &current();
+
+private:
+  std::array<std::atomic<uint64_t>, kNumCounters> Counts{};
+  std::array<std::atomic<uint64_t>, kNumPhases> Nanos{};
+};
+
+/// Bumps \p C by \p N in the calling thread's current run.
+inline void countEvent(Counter C, uint64_t N = 1) {
+  RunMetrics::current().count(C, N);
+}
+
+/// Routes the calling thread's counts and timers to \p Run until the scope
+/// ends, then restores the previous target. Scopes nest.
+class MetricsScope {
+public:
+  explicit MetricsScope(RunMetrics &Run);
+  ~MetricsScope();
+  MetricsScope(const MetricsScope &) = delete;
+  MetricsScope &operator=(const MetricsScope &) = delete;
+
+private:
+  RunMetrics *Prev;
+};
+
+/// The scope of one whole run: a MetricsScope that, when it ends (also by
+/// exception), adds the run's totals into the process sink. Worker tasks
+/// of the run use plain MetricsScopes, so the run is published once.
+class RunScope : public MetricsScope {
+public:
+  explicit RunScope(RunMetrics &Run) : MetricsScope(Run), Run(Run) {}
+  ~RunScope() { Run.addTo(RunMetrics::process()); }
+
+private:
+  RunMetrics &Run;
+};
+
+/// Point-in-time copy of the process sink's counters, one named field per
+/// `Counter`: take() one snapshot before a measured region, then delta()
+/// against the process sink afterwards.
+struct CounterSnapshot {
+#define RETYPD_COUNTER_FIELD(Name) uint64_t Name = 0;
+  RETYPD_COUNTERS(RETYPD_COUNTER_FIELD)
+#undef RETYPD_COUNTER_FIELD
+
+  /// Copies the process sink's counters (relaxed loads).
   static CounterSnapshot take();
 
-  /// Member-wise (current counters) - (this snapshot). Call on the
+  /// Member-wise (process sink now) - (this snapshot). Call on the
   /// snapshot taken BEFORE the measured region.
   CounterSnapshot delta() const;
 };
 
-/// Process-wide named wall-clock accumulators for pipeline stages. Worker
-/// threads add to the same counter concurrently, so a stage's total can
-/// exceed the elapsed wall time — that surplus IS the parallelism, and the
-/// scaling benchmarks report it as such.
-class PhaseTimes {
-public:
-  /// Accumulates \p Seconds onto the named phase counter (creating it on
-  /// first use). Thread safe.
-  static void add(const char *Phase, double Seconds);
-
-  /// Snapshot of (phase, accumulated seconds). CONTRACT: the result is
-  /// sorted ascending by phase name (the registry is an ordered map), so
-  /// consumers must NOT re-sort it — tests/support/StatsTest.cpp pins
-  /// this.
+/// Process-wide view of the phase timers.
+struct PhaseTimes {
+  /// (phase name, accumulated seconds) of the process sink. CONTRACT: the
+  /// result is sorted ascending by phase name and omits phases that never
+  /// accumulated time, so consumers must NOT re-sort it —
+  /// tests/support/StatsTest.cpp pins this.
   static std::vector<std::pair<std::string, double>> snapshot();
-
-  /// Zeroes every counter. Call between measured runs.
-  static void reset();
 };
 
-/// RAII helper: accumulates its lifetime onto a PhaseTimes counter.
+/// RAII helper: accumulates its lifetime onto phase \p P of the run that
+/// was current when it started.
 class ScopedPhaseTimer {
 public:
-  explicit ScopedPhaseTimer(const char *Phase)
-      : Phase(Phase), Start(std::chrono::steady_clock::now()) {}
+  explicit ScopedPhaseTimer(Phase P)
+      : Sink(RunMetrics::current()), P(P),
+        Start(std::chrono::steady_clock::now()) {}
   ~ScopedPhaseTimer() {
-    PhaseTimes::add(
-        Phase, std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - Start)
-                   .count());
+    Sink.addTime(P, std::chrono::steady_clock::now() - Start);
   }
   ScopedPhaseTimer(const ScopedPhaseTimer &) = delete;
   ScopedPhaseTimer &operator=(const ScopedPhaseTimer &) = delete;
 
 private:
-  const char *Phase;
+  RunMetrics &Sink;
+  Phase P;
   std::chrono::steady_clock::time_point Start;
 };
 

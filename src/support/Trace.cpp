@@ -177,7 +177,7 @@ void record(const char *Name, const char *Cat, char Ph, double TsUs,
   E.DurUs = DurUs;
   E.Args = std::move(Args);
   myBuffer().append(std::move(E));
-  EventCounters::TraceEvents.fetch_add(1, std::memory_order_relaxed);
+  countEvent(Counter::TraceEvents);
 }
 
 } // namespace detail

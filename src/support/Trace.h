@@ -11,7 +11,7 @@
 //
 // Zero-cost when off: TraceSpan's constructor does a single relaxed atomic
 // load and nothing else; no buffers are allocated, no strings are built,
-// and EventCounters::TraceEvents stays 0 (gated by bench_warmpath).
+// and Counter::TraceEvents stays 0 (gated by bench_warmpath).
 //
 //===----------------------------------------------------------------------===//
 

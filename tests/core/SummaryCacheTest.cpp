@@ -294,14 +294,14 @@ TEST_F(SummaryCacheTest, StoreBackedLookupIsZeroCopyAndCountsHits) {
   ASSERT_TRUE(Reader.openStore(Dir.str()));
   EXPECT_FALSE(Reader.lookupPayload(K).has_value())
       << "store payloads must not be copied into the memory map";
-  EventCounters::reset();
+  RunMetrics::process().reset();
   auto Back = Reader.lookup(K, Syms, Lat);
   ASSERT_TRUE(Back.has_value());
   EXPECT_EQ(Back->str(Syms, Lat), Scheme.str(Syms, Lat));
   EXPECT_EQ(Reader.hits(), 1u);
   EXPECT_EQ(Reader.misses(), 0u);
-  EXPECT_EQ(EventCounters::StoreHits.load(), 1u);
-  EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u)
+  EXPECT_EQ(CounterSnapshot::take().StoreHits, 1u);
+  EXPECT_EQ(CounterSnapshot::take().StorePayloadCopies, 0u)
       << "mmap read path copied payload bytes";
 }
 
@@ -340,27 +340,27 @@ TEST_F(SummaryCacheTest, PoolBindingTranslatesStoreNamesOnce) {
   ASSERT_TRUE(Cache.flushToStore().has_value());
   Cache.clear(); // force every probe through the mapped store
 
-  EventCounters::reset();
+  RunMetrics::process().reset();
   ASSERT_TRUE(Cache.lookup(K, Syms, Lat).has_value());
-  uint64_t Binds = EventCounters::PoolBinds.load();
+  uint64_t Binds = CounterSnapshot::take().PoolBinds;
   EXPECT_GT(Binds, 0u) << "first store probe batch-interns the name pool";
-  EXPECT_EQ(EventCounters::PoolBindHits.load(), 1u)
+  EXPECT_EQ(CounterSnapshot::take().PoolBindHits, 1u)
       << "flushed payloads must decode in pool name mode";
 
   // Second probe: the pool grew by nothing, so the translation table is
   // reused as-is — zero per-payload string hashing.
   ASSERT_TRUE(Cache.lookup(K, Syms, Lat).has_value());
-  EXPECT_EQ(EventCounters::PoolBinds.load(), Binds)
+  EXPECT_EQ(CounterSnapshot::take().PoolBinds, Binds)
       << "unchanged pool re-interned names";
-  EXPECT_EQ(EventCounters::PoolBindHits.load(), 2u);
+  EXPECT_EQ(CounterSnapshot::take().PoolBindHits, 2u);
 
   // Compaction carries the pool verbatim (ids preserved): the binding
   // stays valid — no re-interning afterwards either.
   ASSERT_TRUE(Cache.store()->compact().has_value());
   ASSERT_TRUE(Cache.lookup(K, Syms, Lat).has_value());
-  EXPECT_EQ(EventCounters::PoolBinds.load(), Binds)
+  EXPECT_EQ(CounterSnapshot::take().PoolBinds, Binds)
       << "compaction invalidated the pool translation table";
-  EXPECT_EQ(EventCounters::PoolBindHits.load(), 3u);
+  EXPECT_EQ(CounterSnapshot::take().PoolBindHits, 3u);
 
   // A different symbol table needs its own translation (decoded ids are
   // table-relative) and still answers correctly.
@@ -368,7 +368,7 @@ TEST_F(SummaryCacheTest, PoolBindingTranslatesStoreNamesOnce) {
   auto FromOther = Cache.lookup(K, Other, Lat);
   ASSERT_TRUE(FromOther.has_value());
   EXPECT_EQ(FromOther->str(Other, Lat), Scheme.str(Syms, Lat));
-  EXPECT_GT(EventCounters::PoolBinds.load(), Binds);
+  EXPECT_GT(CounterSnapshot::take().PoolBinds, Binds);
 }
 
 TEST_F(SummaryCacheTest, PayloadReplacementServesTheNewValue) {

@@ -4,7 +4,7 @@
 // formation rule: illegal label encodings, dangling base variables,
 // out-of-lattice constants and marks, broken canonical order, scheme
 // closure escapes, and sketch-graph defects. Also pins the counter
-// contract: every top-level check bumps EventCounters::VerifierChecks.
+// contract: every top-level check bumps Counter::VerifierChecks.
 //
 //===----------------------------------------------------------------------===//
 
@@ -191,7 +191,7 @@ TEST_F(CoreVerifierTest, UnreachableSketchNodesAreNotInspected) {
 
 TEST_F(CoreVerifierTest, EveryTopLevelCheckBumpsTheCounter) {
   auto Count = [] {
-    return EventCounters::VerifierChecks.load(std::memory_order_relaxed);
+    return CounterSnapshot::take().VerifierChecks;
   };
   VerifyDiags D;
   ConstraintSet C;

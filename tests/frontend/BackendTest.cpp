@@ -95,7 +95,8 @@ BackendRun runBackend(Module M, BackendKind Backend, unsigned Jobs = 1,
 std::string diamondAsm(unsigned Layers) {
   std::string Asm = "fn d0:\n  load eax, [esp+4]\n  add eax, 1\n  ret\n";
   for (unsigned I = 1; I <= Layers; ++I) {
-    std::string N = std::to_string(I), P = "d" + std::to_string(I - 1);
+    std::string N = std::to_string(I);
+    std::string P = std::string("d").append(std::to_string(I - 1));
     Asm += "fn a" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +
            "\n  add esp, 4\n  ret\n";
     Asm += "fn b" + N + ":\n  load eax, [esp+4]\n  push eax\n  call " + P +

@@ -52,16 +52,13 @@ RunOut run(const std::string &Asm, SummaryCache *Cache, unsigned Jobs = 1) {
   PipelineOptions Opts;
   Opts.Jobs = Jobs;
   Opts.Cache = Cache;
-  uint64_t Parses0 =
-      EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed);
+  const CounterSnapshot Before = CounterSnapshot::take();
   Pipeline Pipe(Lat, Opts);
   TypeReport R = Pipe.run(M);
   RunOut Out;
   Out.Report = renderReport(R, M, Lat);
   Out.Stats = R.Stats;
-  Out.ParseCalls =
-      EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed) -
-      Parses0;
+  Out.ParseCalls = Before.delta().ConstraintParseCalls;
   return Out;
 }
 

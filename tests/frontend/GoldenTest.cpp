@@ -106,12 +106,9 @@ TEST(GoldenTest, CacheReplayIsByteIdentical) {
     uint64_t MissesAfterCold = Cache.misses();
     // The binary data plane's contract: a warm run performs ZERO
     // ConstraintParser invocations — schemes replay through the codec.
-    uint64_t ParsesBeforeWarm =
-        EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed);
+    const CounterSnapshot BeforeWarm = CounterSnapshot::take();
     std::string Warm = runReport(P, 2, &Cache);
-    EXPECT_EQ(
-        EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed),
-        ParsesBeforeWarm)
+    EXPECT_EQ(BeforeWarm.delta().ConstraintParseCalls, 0u)
         << "warm run parsed constraint text: " << P;
     EXPECT_EQ(Cold, runReport(P, 1)) << "cold cached run diverged: " << P;
     EXPECT_EQ(Cold, Warm) << "warm cached run diverged: " << P;
@@ -144,13 +141,14 @@ TEST(GoldenTest, StoreWarmMatchesFreshRuns) {
   {
     SummaryCache Warm;
     ASSERT_TRUE(Warm.openStore(Dir.string()));
-    EventCounters::reset();
+    const CounterSnapshot Before = CounterSnapshot::take();
     EXPECT_EQ(runReport(P, 1, &Warm), Fresh) << "store warm run diverged";
-    EXPECT_EQ(EventCounters::ConstraintParseCalls.load(), 0u)
+    const CounterSnapshot D = Before.delta();
+    EXPECT_EQ(D.ConstraintParseCalls, 0u)
         << "store warm run parsed constraint text";
     EXPECT_EQ(Warm.misses(), 0u) << "store warm run missed";
-    EXPECT_GT(EventCounters::StoreHits.load(), 0u);
-    EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u)
+    EXPECT_GT(D.StoreHits, 0u);
+    EXPECT_EQ(D.StorePayloadCopies, 0u)
         << "store warm run copied payload bytes";
   }
   fs::remove_all(Dir);
@@ -169,14 +167,12 @@ TEST(GoldenTest, VerifyFullIsByteIdenticalAndClean) {
       PipelineOptions Opts;
       Opts.Jobs = Jobs;
       Opts.Verify = VerifyLevel::Full;
-      uint64_t Checks0 =
-          EventCounters::VerifierChecks.load(std::memory_order_relaxed);
+      const CounterSnapshot Before = CounterSnapshot::take();
       Pipeline Pipe(Lat, Opts);
       TypeReport R = Pipe.run(M);
       EXPECT_TRUE(R.VerifyErrors.empty())
           << P << " jobs=" << Jobs << ": " << R.VerifyErrors.front();
-      EXPECT_GT(EventCounters::VerifierChecks.load(std::memory_order_relaxed),
-                Checks0)
+      EXPECT_GT(Before.delta().VerifierChecks, 0u)
           << "verify=full ran no checks: " << P;
       ReportPrintOptions Print;
       Print.Schemes = true;

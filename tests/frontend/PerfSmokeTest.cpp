@@ -72,8 +72,7 @@ TEST(PerfSmokeTest, WarmCacheNeverLosesAndNeverParses) {
     Cold = std::min(Cold, timedRun(P.M, Lat, &Fresh, nullptr));
   }
 
-  uint64_t ParsesBeforeWarm =
-      EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed);
+  const CounterSnapshot BeforeWarm = CounterSnapshot::take();
   double Warm = timedRun(P.M, Lat, &Cache, &WarmReport);
   Warm = std::min(Warm, timedRun(P.M, Lat, &Cache, nullptr));
 
@@ -82,9 +81,7 @@ TEST(PerfSmokeTest, WarmCacheNeverLosesAndNeverParses) {
   EXPECT_EQ(Cache.misses(), MissesAfterCold) << "warm run missed the cache";
 
   // Zero text parsing on the warm path.
-  EXPECT_EQ(
-      EventCounters::ConstraintParseCalls.load(std::memory_order_relaxed),
-      ParsesBeforeWarm)
+  EXPECT_EQ(BeforeWarm.delta().ConstraintParseCalls, 0u)
       << "warm run invoked ConstraintParser";
 
   // Same bytes out.
@@ -121,14 +118,15 @@ TEST(PerfSmokeTest, StoreWarmPathIsParseFreeZeroCopyAndByteIdentical) {
   }
   SummaryCache Warm;
   ASSERT_TRUE(Warm.openStore(Dir.string()));
-  EventCounters::reset();
+  const CounterSnapshot Before = CounterSnapshot::take();
   timedRun(P.M, Lat, &Warm, &WarmReport);
+  const CounterSnapshot D = Before.delta();
   EXPECT_EQ(ColdReport, WarmReport);
-  EXPECT_EQ(EventCounters::ConstraintParseCalls.load(), 0u)
+  EXPECT_EQ(D.ConstraintParseCalls, 0u)
       << "store warm run invoked ConstraintParser";
   EXPECT_EQ(Warm.misses(), 0u) << "store warm run missed the cache";
-  EXPECT_GT(EventCounters::StoreHits.load(), 0u);
-  EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u)
+  EXPECT_GT(D.StoreHits, 0u);
+  EXPECT_EQ(D.StorePayloadCopies, 0u)
       << "store warm run copied payload bytes off the mmap path";
   fs::remove_all(Dir);
 }

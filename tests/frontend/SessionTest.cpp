@@ -11,12 +11,15 @@
 #include "frontend/Session.h"
 #include "support/Stats.h"
 #include "mir/AsmParser.h"
+#include "synth/Synth.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <sstream>
+#include <thread>
 
 using namespace retypd;
 namespace fs = std::filesystem;
@@ -326,17 +329,86 @@ TEST(SessionTest, StoreWarmRunResolvesNamesThroughThePoolBinding) {
     AnalysisSession S(makeDefaultLattice(), Opts);
     ASSERT_TRUE(S.storeError().empty()) << S.storeError();
     ASSERT_TRUE(S.loadModuleText(kTwoIslandAsm));
-    EventCounters::reset();
+    RunMetrics::process().reset();
     S.analyze();
     EXPECT_EQ(renderSession(S), Baseline);
     EXPECT_GT(S.report()->Stats.PoolBindHits, 0u)
         << "warm store decodes did not use the pool translation table";
-    EXPECT_GT(EventCounters::PoolBinds.load(), 0u)
+    EXPECT_GT(CounterSnapshot::take().PoolBinds, 0u)
         << "the pool was never batch-interned";
-    EXPECT_EQ(EventCounters::PoolBindHits.load(),
+    EXPECT_EQ(CounterSnapshot::take().PoolBindHits,
               S.report()->Stats.PoolBindHits);
   }
   fs2::remove_all(Dir);
+}
+
+TEST(SessionTest, ConcurrentStoreWarmSessionsReportTheirOwnCounters) {
+  // Two store-warm sessions, each over its own store directory, analyze
+  // concurrently on two threads. PipelineStats holds each run's own
+  // counters, so every counter must equal that session's solo run — a
+  // report must not absorb the other session's store hits or pool binds.
+  namespace fs2 = std::filesystem;
+  SynthGenerator Gen;
+  std::vector<Module> Mods;
+  std::vector<fs2::path> Dirs;
+  for (uint64_t Seed : {1, 2}) {
+    SynthOptions O;
+    O.Seed = Seed;
+    O.TargetInstructions = 6000;
+    Mods.push_back(Gen.generate("concurrent" + std::to_string(Seed), O).M);
+    Dirs.push_back(fs2::temp_directory_path() /
+                   ("retypd_session_concurrent_" + std::to_string(Seed)));
+    fs2::remove_all(Dirs.back());
+  }
+  // Opens session I's store, then (after \p Start releases, when given)
+  // analyzes its module at jobs 2.
+  auto RunSession = [&](size_t I, std::latch *Start) {
+    SessionOptions Opts;
+    Opts.StoreDir = Dirs[I].string();
+    Opts.Jobs = 2;
+    AnalysisSession S(makeDefaultLattice(), Opts);
+    EXPECT_TRUE(S.storeError().empty()) << S.storeError();
+    S.loadModule(Mods[I]);
+    if (Start)
+      Start->arrive_and_wait();
+    return S.analyze().Stats;
+  };
+  PipelineStats Solo[2], Together[2];
+  for (size_t I = 0; I < 2; ++I) {
+    RunSession(I, nullptr); // cold: populates the store
+    Solo[I] = RunSession(I, nullptr);
+    ASSERT_GT(Solo[I].StoreHits, 0u) << "session " << I << " not store-warm";
+  }
+  std::latch Start(2);
+  std::thread A([&] { Together[0] = RunSession(0, &Start); });
+  std::thread B([&] { Together[1] = RunSession(1, &Start); });
+  A.join();
+  B.join();
+
+  for (size_t I = 0; I < 2; ++I) {
+    const PipelineStats &X = Solo[I], &Y = Together[I];
+#define EXPECT_SAME(Field) EXPECT_EQ(X.Field, Y.Field) << "session " << I;
+    EXPECT_SAME(StoreHits);
+    EXPECT_SAME(StoreAppends);
+    EXPECT_SAME(PoolBindHits);
+    EXPECT_SAME(GenCacheHits);
+    EXPECT_SAME(GenCacheMisses);
+    EXPECT_SAME(CacheHits);
+    EXPECT_SAME(CacheMisses);
+    EXPECT_SAME(SccCount);
+    EXPECT_SAME(SccsScheduled);
+    EXPECT_SAME(FunctionsDirty);
+    EXPECT_SAME(SccsSimplified);
+    EXPECT_SAME(SccsReused);
+    EXPECT_SAME(SchemesComputed);
+    EXPECT_SAME(SchemesReused);
+    EXPECT_SAME(SccsSolved);
+    EXPECT_SAME(SccsRefinedOnly);
+    EXPECT_SAME(SccsSolveReused);
+#undef EXPECT_SAME
+  }
+  for (const fs2::path &D : Dirs)
+    fs2::remove_all(D);
 }
 
 TEST(SessionTest, StoreDirOptionJournalsAndReplays) {
@@ -364,12 +436,12 @@ TEST(SessionTest, StoreDirOptionJournalsAndReplays) {
     AnalysisSession S(makeDefaultLattice(), Opts);
     ASSERT_TRUE(S.storeError().empty()) << S.storeError();
     ASSERT_TRUE(S.loadModuleText(kTwoIslandAsm));
-    EventCounters::reset();
+    RunMetrics::process().reset();
     S.analyze();
     EXPECT_EQ(renderSession(S), Baseline);
     EXPECT_GT(S.report()->Stats.StoreHits, 0u);
     EXPECT_EQ(S.report()->Stats.CacheMisses, 0u);
-    EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u);
+    EXPECT_EQ(CounterSnapshot::take().StorePayloadCopies, 0u);
     EXPECT_EQ(S.report()->Stats.StoreAppends, 0u)
         << "identical payloads must not be re-journaled";
   }

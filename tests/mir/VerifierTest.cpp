@@ -17,11 +17,15 @@ using namespace retypd;
 
 namespace {
 
+// Names below are set with append(), not `= "X"`: GCC 12 reports a false
+// -Wrestrict for a one-character literal assigned to a std::string under
+// -fsanitize=address, and CI builds with warnings as errors.
+
 /// A minimal well-formed module: one function, `ret`.
 Module tiny() {
   Module M;
   Function F;
-  F.Name = "f";
+  F.Name.append("f");
   Instr Ret;
   Ret.Op = Opcode::Ret;
   F.Body.push_back(Ret);
@@ -46,7 +50,7 @@ TEST(ModuleVerifierTest, CleanModulePasses) {
 TEST(ModuleVerifierTest, DuplicateFunctionName) {
   Module M = tiny();
   Function F2;
-  F2.Name = "f"; // clashes; FuncByName silently keeps only one id
+  F2.Name.append("f"); // clashes; FuncByName silently keeps only one id
   Instr Ret;
   Ret.Op = Opcode::Ret;
   F2.Body.push_back(Ret);

@@ -530,18 +530,18 @@ TEST_F(StoreTest, ForeignDirectoryRefused) {
 }
 
 TEST_F(StoreTest, EventCountersTrackAppendsAndCompactions) {
-  EventCounters::reset();
+  RunMetrics::process().reset();
   auto S = openStore();
   for (uint64_t I = 0; I < 7; ++I)
     S->append(key(I), payload(I));
   ASSERT_TRUE(S->flush());
-  EXPECT_EQ(EventCounters::StoreAppends.load(), 7u);
+  EXPECT_EQ(CounterSnapshot::take().StoreAppends, 7u);
   ASSERT_TRUE(S->compact().has_value());
-  EXPECT_EQ(EventCounters::StoreCompactions.load(), 1u);
+  EXPECT_EQ(CounterSnapshot::take().StoreCompactions, 1u);
   // mmap served: the zero-copy invariant counter stays at zero.
   for (uint64_t I = 0; I < 7; ++I)
     EXPECT_TRUE(S->lookup(key(I)));
-  EXPECT_EQ(EventCounters::StorePayloadCopies.load(), 0u);
+  EXPECT_EQ(CounterSnapshot::take().StorePayloadCopies, 0u);
 }
 
 TEST_F(StoreTest, ConcurrentReadersWritersAndCompaction) {

@@ -161,7 +161,7 @@ struct Recording {
 
 TEST(TraceTest, OffByDefaultRecordsNothing) {
   ASSERT_FALSE(trace::enabled());
-  EventCounters::reset();
+  RunMetrics::process().reset();
   {
     trace::TraceSpan Span("noop", "test");
     EXPECT_FALSE(Span.active());
@@ -172,11 +172,11 @@ TEST(TraceTest, OffByDefaultRecordsNothing) {
   }
   EXPECT_EQ(trace::collect().size(), 0u);
   EXPECT_EQ(trace::bufferCount(), 0u);
-  EXPECT_EQ(EventCounters::TraceEvents.load(std::memory_order_relaxed), 0u);
+  EXPECT_EQ(CounterSnapshot::take().TraceEvents, 0u);
 }
 
 TEST(TraceTest, NestedSpansRoundTripToValidJson) {
-  EventCounters::reset();
+  RunMetrics::process().reset();
   {
     Recording R;
     {
@@ -206,7 +206,7 @@ TEST(TraceTest, NestedSpansRoundTripToValidJson) {
   EXPECT_GE(Events[0].DurUs, Events[1].DurUs); // outer encloses inner
   EXPECT_EQ(Events[0].Args.Scc, 3);
   EXPECT_EQ(Events[1].Args.JoinOps, 9);
-  EXPECT_EQ(EventCounters::TraceEvents.load(std::memory_order_relaxed), 3u);
+  EXPECT_EQ(CounterSnapshot::take().TraceEvents, 3u);
 
   std::string Json = trace::writeChromeJson(Events);
   EXPECT_TRUE(isValidJson(Json)) << Json;

@@ -711,8 +711,10 @@ int storeInspect(const std::string &Dir, const std::string &Format) {
       if (!FirstKind)
         Kinds += ", ";
       FirstKind = false;
-      Kinds += "\"" + jsonEscape(kindLabel(Kind)) +
-               "\": " + std::to_string(Count);
+      Kinds.append("\"")
+          .append(jsonEscape(kindLabel(Kind)))
+          .append("\": ")
+          .append(std::to_string(Count));
     }
     Kinds += "}";
     std::printf("{\"store\": \"%s\", \"ok\": %s, \"empty\": %s, "
